@@ -19,9 +19,7 @@
 // fragment (pair tables, multi-variable binders, non-edge guards, opaque
 // guards) return Unimplemented and the caller falls back to
 // Evaluator::Eval. Whenever compilation succeeds, executing the plan is
-// bit-identical to the interpreter at any thread count — except under
-// PlanOptions::reassociate, which explicitly trades bit-identity for
-// fewer flops (see below).
+// bit-identical to the interpreter at any thread count.
 #ifndef GELC_CORE_PLAN_COMPILE_H_
 #define GELC_CORE_PLAN_COMPILE_H_
 
@@ -42,16 +40,6 @@ struct PlanOptions {
   /// Run the rewrite passes. Off = straight lowering (still CSE'd), used
   /// by the golden tests to witness each rewrite's effect.
   bool optimize = true;
-  /// Reorder agg_sum/mean(linear_nobias(x)) into linear(agg(x)) when the
-  /// input dimension is smaller than the output dimension (aggregate in
-  /// the cheap dimension). Mathematically exact but floating-point
-  /// reassociating, so OFF by default to preserve the bit-identity
-  /// contract; results agree with the interpreter up to tolerance.
-  bool reassociate = false;
-
-  bool operator==(const PlanOptions& o) const {
-    return optimize == o.optimize && reassociate == o.reassociate;
-  }
 };
 
 /// What the compiler did, for tests and the gelc_plan CLI.
@@ -60,7 +48,6 @@ struct CompileStats {
   size_t ops_after_opt = 0;
   size_t cse_hits = 0;         // emissions deduplicated by value numbering
   size_t guard_pushdowns = 0;  // edge guards turned into CSR traversals
-  size_t reassociations = 0;   // aggregation/linear reorders (opt-in)
   size_t label_coalesces = 0;
   size_t activation_fusions = 0;
   size_t aggregate_absorptions = 0;

@@ -1,6 +1,7 @@
 #include "gnn/trainable.h"
 
 #include <algorithm>
+#include <functional>
 
 #include "base/logging.h"
 #include "obs/metrics.h"
@@ -8,19 +9,6 @@
 #include "obs/trace.h"
 
 namespace gelc {
-
-namespace {
-
-// Shared per-epoch instrumentation for the three trainers: epoch count,
-// a last-loss gauge, and (under tracing) one span per epoch.
-void RecordEpoch(double loss) {
-  static obs::Counter* epochs = obs::GetCounter("train.epochs");
-  static obs::Gauge* loss_gauge = obs::GetGauge("train.loss");
-  epochs->Increment();
-  loss_gauge->Set(loss);
-}
-
-}  // namespace
 
 TrainableGnn::TrainableGnn(const Config& config, Rng* rng)
     : config_(config) {
@@ -61,7 +49,7 @@ Result<std::unique_ptr<TrainableGnn>> TrainableGnn::Create(
 ValueId TrainableGnn::VertexEmbeddings(Tape* tape, const Graph& g) const {
   // The graph's cached CSR handle is shared by every tape built over g
   // during training — no per-step adjacency materialization at all. The
-  // epoch loops hoist this call and use the CSR overload directly so not
+  // trainers hoist this call and use the CSR overload directly so not
   // even the cache lookup repeats per epoch.
   return VertexEmbeddings(tape, g, g.Csr());
 }
@@ -184,13 +172,6 @@ std::vector<Parameter*> TrainableGnn::Parameters() {
 
 namespace {
 
-std::vector<size_t> WidthsFor(size_t input_dim,
-                              const std::vector<size_t>& hidden) {
-  std::vector<size_t> widths = {input_dim};
-  widths.insert(widths.end(), hidden.begin(), hidden.end());
-  return widths;
-}
-
 double Accuracy(const std::vector<size_t>& pred,
                 const std::vector<size_t>& truth) {
   GELC_CHECK(pred.size() == truth.size());
@@ -201,19 +182,83 @@ double Accuracy(const std::vector<size_t>& pred,
   return static_cast<double>(hits) / static_cast<double>(pred.size());
 }
 
-}  // namespace
+// One tape of an ERM epoch. `loss` builds the forward pass and returns
+// the cross entropy averaged over the step's examples; a nonzero `scale`
+// turns that mean back into a sum before the backward pass.
+struct ErmStep {
+  std::function<ValueId(const TrainableGnn&, Tape*)> loss;
+  double scale = 0.0;
+};
 
-Result<TrainReport> TrainNodeClassifier(const NodeDataset& data,
-                                        const TrainOptions& options) {
+// The one ERM loop behind the three trainers (slides 16-20): graph, node
+// and link tasks differ only in their step list and their evaluation.
+// Each epoch zeroes the gradients, runs one tape per step (forward, then
+// backward, accumulating into the parameters) and takes one Adam step.
+// The reported epoch loss is the step's mean when there is one step
+// (taken as is, since mean * k / k need not round back to the mean),
+// else the scaled sum over steps divided by `train_count`.
+Result<TrainReport> MinimizeEmpiricalRisk(
+    size_t input_dim, size_t num_outputs, const TrainOptions& options,
+    const std::vector<ErmStep>& steps, size_t train_count,
+    const std::function<Status(const TrainableGnn&, TrainReport*)>&
+        evaluate) {
+  static obs::Counter* epochs = obs::GetCounter("train.epochs");
+  static obs::Gauge* loss_gauge = obs::GetGauge("train.loss");
   TrainableGnn::Config cfg;
-  cfg.widths = WidthsFor(data.graph.feature_dim(), options.hidden_widths);
-  cfg.num_outputs = data.num_classes;
+  cfg.widths = {input_dim};
+  cfg.widths.insert(cfg.widths.end(), options.hidden_widths.begin(),
+                    options.hidden_widths.end());
+  cfg.num_outputs = num_outputs;
   cfg.seed = options.seed;
   GELC_ASSIGN_OR_RETURN(std::unique_ptr<TrainableGnn> model,
                         TrainableGnn::Create(cfg));
   Adam opt(options.learning_rate);
   for (Parameter* p : model->Parameters()) opt.Register(p);
 
+  TrainReport report;
+  for (size_t epoch = 0; epoch < options.epochs; ++epoch) {
+    GELC_TRACE_SPAN("train.epoch", {{"epoch", epoch}});
+    GELC_OBS_TIME("train.epoch");
+    double scaled_sum = 0.0;
+    double last_mean = 0.0;
+    opt.ZeroGrad();
+    for (const ErmStep& step : steps) {
+      Tape tape;
+      ValueId loss, root;
+      {
+        GELC_TRACE_SPAN("train.forward");
+        GELC_OBS_TIME("train.forward");
+        loss = step.loss(*model, &tape);
+        root = step.scale != 0.0 ? tape.Scale(loss, step.scale) : loss;
+      }
+      {
+        GELC_TRACE_SPAN("train.backward");
+        GELC_OBS_TIME("train.backward");
+        tape.Backward(root);
+      }
+      last_mean = tape.value(loss).At(0, 0);
+      scaled_sum += tape.value(root).At(0, 0);
+    }
+    {
+      GELC_TRACE_SPAN("train.step");
+      GELC_OBS_TIME("train.step");
+      opt.Step();
+    }
+    double mean_loss =
+        steps.size() == 1 ? last_mean
+                          : scaled_sum / static_cast<double>(train_count);
+    epochs->Increment();
+    loss_gauge->Set(mean_loss);
+    report.loss_history.push_back(mean_loss);
+  }
+  GELC_RETURN_NOT_OK(evaluate(*model, &report));
+  return report;
+}
+
+}  // namespace
+
+Result<TrainReport> TrainNodeClassifier(const NodeDataset& data,
+                                        const TrainOptions& options) {
   std::vector<size_t> train_labels;
   for (size_t v : data.train_nodes) train_labels.push_back(data.labels[v]);
 
@@ -221,48 +266,29 @@ Result<TrainReport> TrainNodeClassifier(const NodeDataset& data,
   // tape) reuses this view instead of re-querying Graph::Csr().
   const CsrGraph& csr = data.graph.Csr();
 
-  TrainReport report;
-  for (size_t epoch = 0; epoch < options.epochs; ++epoch) {
-    GELC_TRACE_SPAN("train.epoch", {{"epoch", epoch}});
-    GELC_OBS_TIME("train.epoch");
-    Tape tape;
-    ValueId loss;
-    {
-      GELC_TRACE_SPAN("train.forward");
-      GELC_OBS_TIME("train.forward");
-      ValueId logits = model->NodeLogits(&tape, data.graph, csr);
-      ValueId train_logits = tape.GatherRows(logits, data.train_nodes);
-      loss = tape.SoftmaxCrossEntropy(train_logits, train_labels);
-    }
-    opt.ZeroGrad();
-    {
-      GELC_TRACE_SPAN("train.backward");
-      GELC_OBS_TIME("train.backward");
-      tape.Backward(loss);
-    }
-    {
-      GELC_TRACE_SPAN("train.step");
-      GELC_OBS_TIME("train.step");
-      opt.Step();
-    }
-    double epoch_loss = tape.value(loss).At(0, 0);
-    RecordEpoch(epoch_loss);
-    report.loss_history.push_back(epoch_loss);
-  }
-
-  // Evaluation pass.
-  Tape tape;
-  ValueId logits = model->NodeLogits(&tape, data.graph, csr);
-  std::vector<size_t> pred = RowArgmax(tape.value(logits));
-  std::vector<size_t> train_pred, test_pred, test_labels;
-  for (size_t v : data.train_nodes) train_pred.push_back(pred[v]);
-  for (size_t v : data.test_nodes) {
-    test_pred.push_back(pred[v]);
-    test_labels.push_back(data.labels[v]);
-  }
-  report.train_accuracy = Accuracy(train_pred, train_labels);
-  report.test_accuracy = Accuracy(test_pred, test_labels);
-  return report;
+  ErmStep full_batch;
+  full_batch.loss = [&](const TrainableGnn& model, Tape* tape) {
+    ValueId logits = model.NodeLogits(tape, data.graph, csr);
+    ValueId train_logits = tape->GatherRows(logits, data.train_nodes);
+    return tape->SoftmaxCrossEntropy(train_logits, train_labels);
+  };
+  return MinimizeEmpiricalRisk(
+      data.graph.feature_dim(), data.num_classes, options, {full_batch},
+      data.train_nodes.size(),
+      [&](const TrainableGnn& model, TrainReport* report) {
+        Tape tape;
+        ValueId logits = model.NodeLogits(&tape, data.graph, csr);
+        std::vector<size_t> pred = RowArgmax(tape.value(logits));
+        std::vector<size_t> train_pred, test_pred, test_labels;
+        for (size_t v : data.train_nodes) train_pred.push_back(pred[v]);
+        for (size_t v : data.test_nodes) {
+          test_pred.push_back(pred[v]);
+          test_labels.push_back(data.labels[v]);
+        }
+        report->train_accuracy = Accuracy(train_pred, train_labels);
+        report->test_accuracy = Accuracy(test_pred, test_labels);
+        return Status::OK();
+      });
 }
 
 Result<TrainReport> TrainGraphClassifier(const GraphDataset& data,
@@ -271,15 +297,6 @@ Result<TrainReport> TrainGraphClassifier(const GraphDataset& data,
   if (data.graphs.empty()) {
     return Status::InvalidArgument("empty dataset");
   }
-  TrainableGnn::Config cfg;
-  cfg.widths = WidthsFor(data.graphs[0].feature_dim(), options.hidden_widths);
-  cfg.num_outputs = data.num_classes;
-  cfg.seed = options.seed;
-  GELC_ASSIGN_OR_RETURN(std::unique_ptr<TrainableGnn> model,
-                        TrainableGnn::Create(cfg));
-  Adam opt(options.learning_rate);
-  for (Parameter* p : model->Parameters()) opt.Register(p);
-
   size_t train_count = static_cast<size_t>(
       train_fraction * static_cast<double>(data.graphs.size()));
   train_count = std::max<size_t>(1, std::min(train_count, data.graphs.size()));
@@ -308,75 +325,48 @@ Result<TrainReport> TrainGraphClassifier(const GraphDataset& data,
     minibatches.push_back(Minibatch{std::move(batch), std::move(labels)});
   }
 
-  TrainReport report;
-  for (size_t epoch = 0; epoch < options.epochs; ++epoch) {
-    GELC_TRACE_SPAN("train.epoch", {{"epoch", epoch}});
-    GELC_OBS_TIME("train.epoch");
-    double epoch_loss_sum = 0.0;
-    double last_batch_mean = 0.0;
-    opt.ZeroGrad();
-    for (const Minibatch& mb : minibatches) {
-      size_t k = mb.batch.num_graphs();
-      Tape tape;
-      ValueId loss;
-      {
-        GELC_TRACE_SPAN("train.forward");
-        GELC_OBS_TIME("train.forward");
-        ValueId logits = model->GraphLogits(&tape, mb.batch);
-        loss = tape.SoftmaxCrossEntropy(logits, mb.labels);
-      }
-      // SoftmaxCrossEntropy averages over the k batch rows; scaling the
-      // root by k restores the sum-of-per-graph-gradients semantics the
-      // per-graph loop had (one optimizer step per epoch, gradients
-      // summed over the whole training split regardless of batch size).
-      ValueId scaled = tape.Scale(loss, static_cast<double>(k));
-      {
-        GELC_TRACE_SPAN("train.backward");
-        GELC_OBS_TIME("train.backward");
-        tape.Backward(scaled);
-      }
-      last_batch_mean = tape.value(loss).At(0, 0);
-      epoch_loss_sum += tape.value(scaled).At(0, 0);
-    }
-    {
-      GELC_TRACE_SPAN("train.step");
-      GELC_OBS_TIME("train.step");
-      opt.Step();
-    }
-    // With a single minibatch its cross-entropy already is the mean over
-    // the training split; reporting it directly keeps the loss history
-    // bit-identical to the historical per-graph loop.
-    double mean_loss = minibatches.size() == 1
-                           ? last_batch_mean
-                           : epoch_loss_sum /
-                                 static_cast<double>(train_count);
-    RecordEpoch(mean_loss);
-    report.loss_history.push_back(mean_loss);
+  // SoftmaxCrossEntropy averages over a minibatch's k rows; scaling each
+  // loss by k restores sum-of-per-graph-gradients semantics (one
+  // optimizer step per epoch, gradients summed over the whole training
+  // split regardless of batch size).
+  std::vector<ErmStep> steps;
+  for (const Minibatch& mb : minibatches) {
+    ErmStep step;
+    step.loss = [&mb](const TrainableGnn& model, Tape* tape) {
+      return tape->SoftmaxCrossEntropy(model.GraphLogits(tape, mb.batch),
+                                       mb.labels);
+    };
+    step.scale = static_cast<double>(mb.batch.num_graphs());
+    steps.push_back(std::move(step));
   }
-
-  // Batched evaluation: one forward over the whole dataset; row i of the
-  // logits is bit-identical to the per-graph forward of graph i.
-  std::vector<const Graph*> all_graphs;
-  all_graphs.reserve(data.graphs.size());
-  for (const Graph& g : data.graphs) all_graphs.push_back(&g);
-  GELC_ASSIGN_OR_RETURN(GraphBatch eval_batch,
-                        GraphBatch::Create(all_graphs));
-  Tape eval_tape;
-  ValueId logits = model->GraphLogits(&eval_tape, eval_batch);
-  std::vector<size_t> pred = RowArgmax(eval_tape.value(logits));
-  std::vector<size_t> train_pred, train_truth, test_pred, test_truth;
-  for (size_t i = 0; i < data.graphs.size(); ++i) {
-    if (i < train_count) {
-      train_pred.push_back(pred[i]);
-      train_truth.push_back(data.labels[i]);
-    } else {
-      test_pred.push_back(pred[i]);
-      test_truth.push_back(data.labels[i]);
-    }
-  }
-  report.train_accuracy = Accuracy(train_pred, train_truth);
-  report.test_accuracy = Accuracy(test_pred, test_truth);
-  return report;
+  return MinimizeEmpiricalRisk(
+      data.graphs[0].feature_dim(), data.num_classes, options, steps,
+      train_count, [&](const TrainableGnn& model, TrainReport* report) {
+        // Batched evaluation: one forward over the whole dataset; row i
+        // of the logits is bit-identical to the per-graph forward of
+        // graph i.
+        std::vector<const Graph*> all_graphs;
+        all_graphs.reserve(data.graphs.size());
+        for (const Graph& g : data.graphs) all_graphs.push_back(&g);
+        GELC_ASSIGN_OR_RETURN(GraphBatch eval_batch,
+                              GraphBatch::Create(all_graphs));
+        Tape tape;
+        ValueId logits = model.GraphLogits(&tape, eval_batch);
+        std::vector<size_t> pred = RowArgmax(tape.value(logits));
+        std::vector<size_t> train_pred, train_truth, test_pred, test_truth;
+        for (size_t i = 0; i < data.graphs.size(); ++i) {
+          if (i < train_count) {
+            train_pred.push_back(pred[i]);
+            train_truth.push_back(data.labels[i]);
+          } else {
+            test_pred.push_back(pred[i]);
+            test_truth.push_back(data.labels[i]);
+          }
+        }
+        report->train_accuracy = Accuracy(train_pred, train_truth);
+        report->test_accuracy = Accuracy(test_pred, test_truth);
+        return Status::OK();
+      });
 }
 
 Result<TrainReport> TrainLinkPredictor(const LinkDataset& data,
@@ -384,56 +374,28 @@ Result<TrainReport> TrainLinkPredictor(const LinkDataset& data,
   if (data.train_pairs.empty()) {
     return Status::InvalidArgument("empty link dataset");
   }
-  TrainableGnn::Config cfg;
-  cfg.widths = WidthsFor(data.graph.feature_dim(), options.hidden_widths);
-  cfg.num_outputs = 2;
-  cfg.seed = options.seed;
-  GELC_ASSIGN_OR_RETURN(std::unique_ptr<TrainableGnn> model,
-                        TrainableGnn::Create(cfg));
-  Adam opt(options.learning_rate);
-  for (Parameter* p : model->Parameters()) opt.Register(p);
-
   // One CSR lookup for the whole run (see TrainNodeClassifier).
   const CsrGraph& csr = data.graph.Csr();
 
-  TrainReport report;
-  for (size_t epoch = 0; epoch < options.epochs; ++epoch) {
-    GELC_TRACE_SPAN("train.epoch", {{"epoch", epoch}});
-    GELC_OBS_TIME("train.epoch");
-    Tape tape;
-    ValueId loss;
-    {
-      GELC_TRACE_SPAN("train.forward");
-      GELC_OBS_TIME("train.forward");
-      ValueId logits =
-          model->PairLogits(&tape, data.graph, csr, data.train_pairs);
-      loss = tape.SoftmaxCrossEntropy(logits, data.train_labels);
-    }
-    opt.ZeroGrad();
-    {
-      GELC_TRACE_SPAN("train.backward");
-      GELC_OBS_TIME("train.backward");
-      tape.Backward(loss);
-    }
-    {
-      GELC_TRACE_SPAN("train.step");
-      GELC_OBS_TIME("train.step");
-      opt.Step();
-    }
-    double epoch_loss = tape.value(loss).At(0, 0);
-    RecordEpoch(epoch_loss);
-    report.loss_history.push_back(epoch_loss);
-  }
-
-  auto eval = [&](const std::vector<std::pair<VertexId, VertexId>>& pairs,
-                  const std::vector<size_t>& labels) {
-    Tape tape;
-    ValueId logits = model->PairLogits(&tape, data.graph, csr, pairs);
-    return Accuracy(RowArgmax(tape.value(logits)), labels);
+  ErmStep full_batch;
+  full_batch.loss = [&](const TrainableGnn& model, Tape* tape) {
+    ValueId logits = model.PairLogits(tape, data.graph, csr, data.train_pairs);
+    return tape->SoftmaxCrossEntropy(logits, data.train_labels);
   };
-  report.train_accuracy = eval(data.train_pairs, data.train_labels);
-  report.test_accuracy = eval(data.test_pairs, data.test_labels);
-  return report;
+  return MinimizeEmpiricalRisk(
+      data.graph.feature_dim(), 2, options, {full_batch},
+      data.train_pairs.size(),
+      [&](const TrainableGnn& model, TrainReport* report) {
+        auto eval = [&](const std::vector<std::pair<VertexId, VertexId>>& pairs,
+                        const std::vector<size_t>& labels) {
+          Tape tape;
+          ValueId logits = model.PairLogits(&tape, data.graph, csr, pairs);
+          return Accuracy(RowArgmax(tape.value(logits)), labels);
+        };
+        report->train_accuracy = eval(data.train_pairs, data.train_labels);
+        report->test_accuracy = eval(data.test_pairs, data.test_labels);
+        return Status::OK();
+      });
 }
 
 }  // namespace gelc

@@ -43,8 +43,8 @@ class TrainableGnn {
   /// Builds the message-passing forward pass on `tape`; returns the
   /// n x hidden vertex embedding node.
   ValueId VertexEmbeddings(Tape* tape, const Graph& g) const;
-  /// Same forward pass over a caller-held CSR view of `g` — the epoch
-  /// loops hoist `g.Csr()` once and pass it back in so no per-epoch
+  /// Same forward pass over a caller-held CSR view of `g` — the trainers
+  /// hoist `g.Csr()` once and pass it back in so no per-epoch
   /// cache lookup happens. `csr` must be (or match) g.Csr() and must
   /// outlive the tape.
   ValueId VertexEmbeddings(Tape* tape, const Graph& g,

@@ -75,19 +75,28 @@ size_t GmlFormula::MinFeatureDim() const {
 }
 
 std::string GmlFormula::ToString() const {
+  // Built with append rather than an rvalue operator+ chain, which GCC
+  // 12 misreports as overlapping memcpy (-Wrestrict) at -O3.
+  std::string out;
   switch (kind_) {
     case Kind::kTrue:
       return "true";
     case Kind::kLabel:
-      return "lab_" + std::to_string(label_index_);
+      return out.append("lab_").append(std::to_string(label_index_));
     case Kind::kNot:
-      return "!" + left_->ToString();
+      return out.append("!").append(left_->ToString());
     case Kind::kAnd:
-      return "(" + left_->ToString() + " & " + right_->ToString() + ")";
     case Kind::kOr:
-      return "(" + left_->ToString() + " | " + right_->ToString() + ")";
+      return out.append("(")
+          .append(left_->ToString())
+          .append(kind_ == Kind::kAnd ? " & " : " | ")
+          .append(right_->ToString())
+          .append(")");
     case Kind::kAtLeast:
-      return "<>" + std::to_string(count_) + " " + left_->ToString();
+      return out.append("<>")
+          .append(std::to_string(count_))
+          .append(" ")
+          .append(left_->ToString());
   }
   return "?";
 }

@@ -261,5 +261,64 @@ TEST(TrainableTest, LinkPredictorBeatsChance) {
   EXPECT_GT(report->test_accuracy, 0.6);
 }
 
+// Pins every reported bit of a short run of each trainer, including the
+// multi-minibatch graph path. The thresholds above survive any change
+// that still learns; these literals only survive one that computes the
+// same floating-point operations in the same order. They hold at any
+// thread count and in the forced-scalar SIMD tier (not under the opt-in
+// FMA tier, which may change low-order bits).
+struct GoldenRun {
+  std::vector<double> loss_history;
+  double train_accuracy;
+  double test_accuracy;
+};
+
+void ExpectGolden(const Result<TrainReport>& report, const GoldenRun& want) {
+  ASSERT_TRUE(report.ok());
+  EXPECT_EQ(report->loss_history, want.loss_history);
+  EXPECT_EQ(report->train_accuracy, want.train_accuracy);
+  EXPECT_EQ(report->test_accuracy, want.test_accuracy);
+}
+
+TEST(TrainableTest, LossHistoryGolden) {
+  TrainOptions opt;
+  opt.epochs = 4;
+  opt.learning_rate = 0.05;
+  opt.hidden_widths = {4};
+
+  Rng node_rng(31);
+  ExpectGolden(
+      TrainNodeClassifier(SyntheticCitations(30, 2, 0.3, &node_rng), opt),
+      {{0x1.712d2bca1e7fbp-1, 0x1.3b7a6966db11bp-1, 0x1.0a8d2eb188f0fp-1,
+        0x1.babf345237372p-2},
+       0x1p+0,
+       0x1.ddddddddddddep-1});
+
+  Rng graph_rng(33);
+  GraphDataset graphs = SyntheticMolecules(12, &graph_rng);
+  ExpectGolden(TrainGraphClassifier(graphs, opt),
+               {{0x1.972348d4656p-1, 0x1.bb9a7b840a663p-1,
+                 0x1.fce4126a3f64p-2, 0x1.1e0a4a8bffcb4p-1},
+                0x1.4p-1,
+                0x1p-1});
+  // Three minibatches per epoch: the loss is the scaled sum over batches
+  // divided by the training-split size.
+  TrainOptions minibatched = opt;
+  minibatched.batch_size = 3;
+  ExpectGolden(TrainGraphClassifier(graphs, minibatched),
+               {{0x1.972348d4656p-1, 0x1.bb9a7b840a663p-1,
+                 0x1.fce4126a3f642p-2, 0x1.1e0a4a8bffcb4p-1},
+                0x1.4p-1,
+                0x1p-1});
+
+  Rng link_rng(35);
+  ExpectGolden(
+      TrainLinkPredictor(SyntheticSocialLinks(30, &link_rng), opt),
+      {{0x1.4f5ac9cd0d71p-1, 0x1.29ff37220849dp-1, 0x1.0febcb33c237p-1,
+        0x1.ed4ef2574f734p-2},
+       0x1p+0,
+       0x1p-1});
+}
+
 }  // namespace
 }  // namespace gelc

@@ -1,6 +1,6 @@
 // gelc_plan: compile a textual GEL expression to a plan and show the IR.
 //
-//   gelc_plan [--no-opt] [--reassociate] [--exec N] 'EXPR'
+//   gelc_plan [--no-opt] [--exec N] 'EXPR'
 //
 // Parses EXPR with the core/parser.h grammar, lowers it through the query
 // compiler (core/plan_compile.h) and prints the unoptimized and optimized
@@ -28,8 +28,7 @@ namespace {
 
 constexpr size_t kFeatureDim = 4;
 
-int Run(bool optimize, bool reassociate, size_t exec_n,
-        const std::string& text) {
+int Run(bool optimize, size_t exec_n, const std::string& text) {
   Result<ExprPtr> parsed = ParseExpr(text);
   if (!parsed.ok()) {
     std::fprintf(stderr, "parse error: %s\n",
@@ -55,7 +54,6 @@ int Run(bool optimize, bool reassociate, size_t exec_n,
 
   PlanOptions options;
   options.optimize = optimize;
-  options.reassociate = reassociate;
   CompileStats stats;
   Result<PlanPtr> plan = CompileToPlan(e, options, &stats);
   if (!plan.ok()) {
@@ -67,11 +65,11 @@ int Run(bool optimize, bool reassociate, size_t exec_n,
   std::printf(
       "\nops: %zu -> %zu  cse: %zu  guard pushdowns: %zu  label "
       "coalesces: %zu  activation fusions: %zu  aggregate absorptions: "
-      "%zu  gin fusions: %zu  readout fusions: %zu  reassociations: %zu\n",
+      "%zu  gin fusions: %zu  readout fusions: %zu\n",
       stats.ops_before_opt, stats.ops_after_opt, stats.cse_hits,
       stats.guard_pushdowns, stats.label_coalesces,
       stats.activation_fusions, stats.aggregate_absorptions,
-      stats.gin_fusions, stats.readout_fusions, stats.reassociations);
+      stats.gin_fusions, stats.readout_fusions);
 
   if (exec_n == 0) return 0;
 
@@ -94,9 +92,9 @@ int Run(bool optimize, bool reassociate, size_t exec_n,
                  out.status().ToString().c_str());
     return 1;
   }
-  if (optimize && !reassociate) {
+  if (optimize) {
     // The default pipeline promises bit-identity to the interpreter;
-    // check it on the way out (reassociation intentionally reorders FP).
+    // check it on the way out.
     Evaluator ev(fg);
     bool match = true;
     if (e->free_vars() == 0) {
@@ -132,14 +130,11 @@ int Run(bool optimize, bool reassociate, size_t exec_n,
 
 int main(int argc, char** argv) {
   bool optimize = true;
-  bool reassociate = false;
   size_t exec_n = 0;
   std::string text;
   for (int i = 1; i < argc; ++i) {
     if (std::strcmp(argv[i], "--no-opt") == 0) {
       optimize = false;
-    } else if (std::strcmp(argv[i], "--reassociate") == 0) {
-      reassociate = true;
     } else if (std::strcmp(argv[i], "--exec") == 0 && i + 1 < argc) {
       exec_n = static_cast<size_t>(std::strtoul(argv[++i], nullptr, 10));
     } else if (text.empty()) {
@@ -151,9 +146,8 @@ int main(int argc, char** argv) {
   }
   if (text.empty()) {
     std::fprintf(stderr,
-                 "usage: gelc_plan [--no-opt] [--reassociate] [--exec N] "
-                 "'EXPR'\n");
+                 "usage: gelc_plan [--no-opt] [--exec N] 'EXPR'\n");
     return 2;
   }
-  return gelc::Run(optimize, reassociate, exec_n, text);
+  return gelc::Run(optimize, exec_n, text);
 }
