@@ -1,5 +1,6 @@
 // P3: homomorphism counting cost versus pattern size and target size —
-// the workload behind the Dell-Grohe-Rattan oracle of E2.
+// the workload behind the Dell-Grohe-Rattan oracle of E2 — plus the tree
+// catalogue and the cycle-hom profile.
 #include <benchmark/benchmark.h>
 
 #include "base/rng.h"
@@ -40,7 +41,8 @@ void BM_TreeEnumeration(benchmark::State& state) {
     benchmark::DoNotOptimize(trees);
   }
 }
-BENCHMARK(BM_TreeEnumeration)->Arg(5)->Arg(6)->Arg(7)->Arg(8);
+BENCHMARK(BM_TreeEnumeration)
+    ->Arg(5)->Arg(6)->Arg(7)->Arg(8)->Arg(9)->Arg(12)->Arg(14);
 
 void BM_FullHomProfile(benchmark::State& state) {
   Rng rng(7);
@@ -52,6 +54,18 @@ void BM_FullHomProfile(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_FullHomProfile)->Arg(5)->Arg(6)->Arg(7);
+
+// hom(C_3..C_8) on G(32, 0.4): the cycle profile the separation oracles
+// and E15 compute per graph.
+void BM_CycleHomProfile(benchmark::State& state) {
+  Rng rng(7);
+  Graph g = RandomGnp(32, 0.4, &rng);
+  for (auto _ : state) {
+    Result<std::vector<int64_t>> p = CycleHomProfile(g, state.range(0));
+    benchmark::DoNotOptimize(p);
+  }
+}
+BENCHMARK(BM_CycleHomProfile)->Arg(8);
 
 }  // namespace
 }  // namespace gelc

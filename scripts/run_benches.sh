@@ -66,6 +66,10 @@ for bin in build/bench/bench_p*; do
     "$bin" --benchmark_format=json --benchmark_min_time="$min_time" \
     ${rep_flags[@]+"${rep_flags[@]}"} \
     > "$raw"
+  # The exporter only runs once something touched the metrics registry;
+  # a bench whose layer records no metric gets an empty snapshot.
+  [ -s "$snap" ] ||
+    echo '{"counters": {}, "gauges": {}, "histograms": {}}' > "$snap"
   # The benchmark JSON opens with a bare '{' on its first line; splice
   # the single-line snapshot and the provenance block in as the first
   # top-level keys.

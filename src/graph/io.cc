@@ -5,6 +5,14 @@
 
 namespace gelc {
 
+namespace {
+
+// Header limits: a hostile header must not drive the allocation.
+constexpr size_t kMaxVertices = size_t{1} << 20;
+constexpr size_t kMaxFeatureEntries = size_t{1} << 24;  // n * feature_dim
+
+}  // namespace
+
 Result<Graph> ParseGraphText(const std::string& text) {
   std::istringstream in(text);
   std::string line;
@@ -26,6 +34,13 @@ Result<Graph> ParseGraphText(const std::string& text) {
       size_t n, d;
       int directed;
       if (!(ls >> n >> d >> directed)) return err("malformed graph header");
+      if (n > kMaxVertices || d > kMaxFeatureEntries ||
+          n * d > kMaxFeatureEntries) {
+        return Status::InvalidArgument(
+            "line " + std::to_string(line_no) + ": graph header " +
+            std::to_string(n) + " x " + std::to_string(d) +
+            " exceeds the text format's size limits");
+      }
       g.emplace(n, d, directed != 0);
     } else if (kind == "v") {
       if (!g.has_value()) return err("vertex before graph header");

@@ -14,7 +14,8 @@
 
 namespace gelc {
 
-/// Parses a graph from the text format above.
+/// Parses a graph from the text format above. A header over 2^20
+/// vertices or 2^24 feature entries (n * feature_dim) is InvalidArgument.
 Result<Graph> ParseGraphText(const std::string& text);
 
 /// Serializes a graph to the text format above; ParseGraphText round-trips.

@@ -1,5 +1,6 @@
 #include "hom/hom_count.h"
 
+#include <algorithm>
 #include <limits>
 
 #include "base/logging.h"
@@ -35,6 +36,49 @@ Status ValidateTree(const Graph& pattern) {
     return Status::InvalidArgument("pattern is not a tree");
   }
   return Status::OK();
+}
+
+// hom(C_k, g) = trace(A^k) for k = first..last, from one chain of sparse
+// products power <- power * A: each nonzero power[i][l] is added to
+// next[i][j] for every out-neighbor j of l. Traces below `first` are
+// skipped, not checked, so a single count fails only on its own overflow.
+Result<std::vector<int64_t>> ClosedWalkCounts(const Graph& g, size_t first,
+                                              size_t last) {
+  if (first < 3 || last < first) {
+    return Status::InvalidArgument("cycle length must be >= 3");
+  }
+  size_t n = g.num_vertices();
+  std::vector<int64_t> power(n * n, 0);
+  std::vector<int64_t> next(n * n);
+  for (size_t u = 0; u < n; ++u)
+    for (VertexId v : g.Neighbors(static_cast<VertexId>(u)))
+      power[u * n + v] = 1;
+  std::vector<int64_t> traces;
+  for (size_t k = 2; k <= last; ++k) {
+    std::fill(next.begin(), next.end(), 0);
+    for (size_t i = 0; i < n; ++i) {
+      const int64_t* row = &power[i * n];
+      int64_t* out = &next[i * n];
+      for (size_t l = 0; l < n; ++l) {
+        if (row[l] == 0) continue;
+        for (VertexId j : g.Neighbors(static_cast<VertexId>(l))) {
+          if (!CheckedAdd(out[j], row[l], &out[j])) {
+            return Status::ArithmeticOverflow("cycle hom count overflow");
+          }
+        }
+      }
+    }
+    power.swap(next);
+    if (k < first) continue;
+    int64_t trace = 0;
+    for (size_t i = 0; i < n; ++i) {
+      if (!CheckedAdd(trace, power[i * n + i], &trace)) {
+        return Status::ArithmeticOverflow("cycle hom count overflow");
+      }
+    }
+    traces.push_back(trace);
+  }
+  return traces;
 }
 
 }  // namespace
@@ -103,51 +147,14 @@ Result<int64_t> CountTreeHomomorphisms(const Graph& pattern, const Graph& g) {
 }
 
 Result<int64_t> CountCycleHomomorphisms(size_t k, const Graph& g) {
-  if (k < 3) return Status::InvalidArgument("cycle length must be >= 3");
-  size_t n = g.num_vertices();
-  // Integer matrix power with overflow-checked arithmetic.
-  std::vector<std::vector<int64_t>> adj(n, std::vector<int64_t>(n, 0));
-  for (size_t u = 0; u < n; ++u)
-    for (VertexId v : g.Neighbors(static_cast<VertexId>(u)))
-      adj[u][v] = 1;
-  std::vector<std::vector<int64_t>> power = adj;
-  for (size_t step = 1; step < k; ++step) {
-    std::vector<std::vector<int64_t>> next(n, std::vector<int64_t>(n, 0));
-    for (size_t i = 0; i < n; ++i) {
-      for (size_t l = 0; l < n; ++l) {
-        if (power[i][l] == 0) continue;
-        for (size_t j = 0; j < n; ++j) {
-          if (adj[l][j] == 0) continue;
-          int64_t term;
-          if (!CheckedMul(power[i][l], adj[l][j], &term) ||
-              !CheckedAdd(next[i][j], term, &next[i][j])) {
-            return Status::ArithmeticOverflow("cycle hom count overflow");
-          }
-        }
-      }
-    }
-    power = std::move(next);
-  }
-  int64_t trace = 0;
-  for (size_t i = 0; i < n; ++i) {
-    if (!CheckedAdd(trace, power[i][i], &trace)) {
-      return Status::ArithmeticOverflow("cycle hom count overflow");
-    }
-  }
-  return trace;
+  GELC_ASSIGN_OR_RETURN(std::vector<int64_t> traces,
+                        ClosedWalkCounts(g, k, k));
+  return traces[0];
 }
 
 Result<std::vector<int64_t>> CycleHomProfile(const Graph& g,
                                              size_t max_length) {
-  if (max_length < 3) {
-    return Status::InvalidArgument("max cycle length must be >= 3");
-  }
-  std::vector<int64_t> profile;
-  for (size_t k = 3; k <= max_length; ++k) {
-    GELC_ASSIGN_OR_RETURN(int64_t c, CountCycleHomomorphisms(k, g));
-    profile.push_back(c);
-  }
-  return profile;
+  return ClosedWalkCounts(g, 3, max_length);
 }
 
 Result<std::vector<int64_t>> TreeHomProfile(const Graph& g,

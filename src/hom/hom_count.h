@@ -39,7 +39,9 @@ Result<std::vector<int64_t>> TreeHomProfile(const Graph& g,
 /// equivalence (the slide-27 theorem's higher rung).
 Result<int64_t> CountCycleHomomorphisms(size_t k, const Graph& g);
 
-/// profile[i] = hom(C_{i+3}, g) for cycle lengths 3..max_length.
+/// profile[i] = hom(C_{i+3}, g) for cycle lengths 3..max_length, read off
+/// one chain of sparse products A^k = A^{k-1} A: O(max_length * n * arcs)
+/// time, two n x n buffers.
 Result<std::vector<int64_t>> CycleHomProfile(const Graph& g,
                                              size_t max_length);
 

@@ -3,6 +3,9 @@
 // equal tree-hom profiles.
 #include <gtest/gtest.h>
 
+#include <set>
+#include <string>
+
 #include "base/rng.h"
 #include "graph/generators.h"
 #include "hom/hom_count.h"
@@ -32,26 +35,21 @@ TEST(TreesTest, NonTreesRejected) {
   EXPECT_FALSE(TreeCanonicalForm(Graph::Unlabeled(0)).ok());
 }
 
-TEST(TreesTest, PruferRoundTripsAreTrees) {
-  Rng rng(2);
-  for (int trial = 0; trial < 20; ++trial) {
-    size_t n = 3 + rng.NextBounded(7);
-    std::vector<size_t> seq(n - 2);
-    for (size_t& x : seq) x = rng.NextBounded(n);
-    Result<Graph> t = TreeFromPrufer(seq, n);
-    ASSERT_TRUE(t.ok());
-    EXPECT_EQ(t->num_edges(), n - 1);
-    EXPECT_EQ(t->ConnectedComponents().size(), 1u);
-  }
+// The largest catalogue, built once and shared by the tests below.
+const std::vector<Graph>& AllTrees14() {
+  static const std::vector<Graph> trees = *AllTreesUpTo(14);
+  return trees;
 }
 
-TEST(TreesTest, PruferValidation) {
-  EXPECT_FALSE(TreeFromPrufer({}, 1).ok());
-  EXPECT_FALSE(TreeFromPrufer({0}, 2).ok());   // wrong length
-  EXPECT_FALSE(TreeFromPrufer({5}, 3).ok());   // out of range
+bool SameGraph(const Graph& a, const Graph& b) {
+  if (a.num_vertices() != b.num_vertices()) return false;
+  for (VertexId v = 0; v < a.num_vertices(); ++v)
+    if (a.Neighbors(v) != b.Neighbors(v)) return false;
+  return true;
 }
 
-// Known counts of non-isomorphic trees on n vertices: 1,1,1,2,3,6,11,23,47.
+// Known counts of non-isomorphic trees on n vertices (OEIS A000055):
+// 1, 1, 1, 2, 3, 6, 11, 23, 47, 106, 235, 551, 1301, 3159.
 struct TreeCountCase {
   size_t max_n;
   size_t cumulative;
@@ -59,10 +57,17 @@ struct TreeCountCase {
 
 class TreeCountTest : public ::testing::TestWithParam<TreeCountCase> {};
 
+// Also checks that each catalogue is a prefix of the largest one, which
+// callers comparing profiles across catalogue sizes rely on.
 TEST_P(TreeCountTest, MatchesOeisA000055Cumulative) {
   Result<std::vector<Graph>> trees = AllTreesUpTo(GetParam().max_n);
   ASSERT_TRUE(trees.ok());
   EXPECT_EQ(trees->size(), GetParam().cumulative);
+  const std::vector<Graph>& all = AllTrees14();
+  ASSERT_LE(trees->size(), all.size());
+  for (size_t i = 0; i < trees->size(); ++i) {
+    EXPECT_TRUE(SameGraph((*trees)[i], all[i])) << "tree " << i;
+  }
 }
 
 INSTANTIATE_TEST_SUITE_P(
@@ -70,11 +75,29 @@ INSTANTIATE_TEST_SUITE_P(
     ::testing::Values(TreeCountCase{1, 1}, TreeCountCase{2, 2},
                       TreeCountCase{3, 3}, TreeCountCase{4, 5},
                       TreeCountCase{5, 8}, TreeCountCase{6, 14},
-                      TreeCountCase{7, 25}, TreeCountCase{8, 48}));
+                      TreeCountCase{7, 25}, TreeCountCase{8, 48},
+                      TreeCountCase{9, 95}, TreeCountCase{10, 201},
+                      TreeCountCase{11, 436}, TreeCountCase{12, 987},
+                      TreeCountCase{13, 2288}, TreeCountCase{14, 5447}));
+
+// Every output is a tree and no two are isomorphic; with the A000055 counts
+// above this makes the catalogue exactly one tree per isomorphism class.
+TEST(TreesTest, CatalogueTreesArePairwiseNonIsomorphic) {
+  const std::vector<Graph>& trees = AllTrees14();
+  std::set<std::string> forms;
+  for (const Graph& t : trees) {
+    ASSERT_EQ(t.num_edges() + 1, t.num_vertices());
+    ASSERT_EQ(t.ConnectedComponents().size(), 1u);
+    Result<std::string> form = TreeCanonicalForm(t);
+    ASSERT_TRUE(form.ok());
+    EXPECT_TRUE(forms.insert(*form).second) << *form;
+  }
+  EXPECT_EQ(forms.size(), trees.size());
+}
 
 TEST(TreesTest, EnumerationBoundsChecked) {
   EXPECT_FALSE(AllTreesUpTo(0).ok());
-  EXPECT_FALSE(AllTreesUpTo(10).ok());
+  EXPECT_FALSE(AllTreesUpTo(15).ok());
 }
 
 TEST(HomTest, SingleVertexCountsVertices) {

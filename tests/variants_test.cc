@@ -141,6 +141,53 @@ TEST(CycleHomTest, OverflowSurfaces) {
   Result<int64_t> r = CountCycleHomomorphisms(40, k40);
   ASSERT_FALSE(r.ok());
   EXPECT_EQ(r.status().code(), StatusCode::kArithmeticOverflow);
+  Result<std::vector<int64_t>> p = CycleHomProfile(k40, 40);
+  ASSERT_FALSE(p.ok());
+  EXPECT_EQ(p.status().code(), StatusCode::kArithmeticOverflow);
+}
+
+// A directed triangle blown up to 3 x 3 vertices: a closed walk's length
+// must be a multiple of 3, and every A^k entry is 0 or 3^(k-1). The
+// profile up to 40 overflows at trace(A^39) = 3^40, while hom(C_40, g) is
+// 0 with every A^40 entry (3^39) inside int64 — a single count must not
+// fail on a shorter cycle's trace.
+TEST(CycleHomTest, SingleCountIgnoresShorterTraceOverflow) {
+  Graph g = Graph::Unlabeled(9, /*directed=*/true);
+  for (VertexId u = 0; u < 9; ++u) {
+    for (VertexId v = 0; v < 9; ++v) {
+      if (v / 3 != (u / 3 + 1) % 3) continue;
+      ASSERT_TRUE(g.AddEdge(u, v).ok());
+    }
+  }
+  EXPECT_EQ(*CountCycleHomomorphisms(40, g), 0);
+  Result<std::vector<int64_t>> p = CycleHomProfile(g, 40);
+  ASSERT_FALSE(p.ok());
+  EXPECT_EQ(p.status().code(), StatusCode::kArithmeticOverflow);
+}
+
+// The profile is one chain of products; each entry must equal the
+// standalone count for that length.
+TEST(CycleHomTest, ProfileEntriesMatchSingleCounts) {
+  Rng rng(17);
+  for (bool directed : {false, true}) {
+    for (int trial = 0; trial < 4; ++trial) {
+      size_t n = 10 + 3 * trial;
+      Graph g = Graph::Unlabeled(n, directed);
+      for (size_t u = 0; u < n; ++u)
+        for (size_t v = directed ? 0 : u + 1; v < n; ++v) {
+          if (u == v || !rng.NextBernoulli(0.35)) continue;
+          ASSERT_TRUE(g.AddEdge(static_cast<VertexId>(u),
+                                static_cast<VertexId>(v))
+                          .ok());
+        }
+      std::vector<int64_t> profile = *CycleHomProfile(g, 10);
+      ASSERT_EQ(profile.size(), 8u);
+      for (size_t k = 3; k <= 10; ++k) {
+        EXPECT_EQ(profile[k - 3], *CountCycleHomomorphisms(k, g))
+            << "directed=" << directed << " k=" << k;
+      }
+    }
+  }
 }
 
 }  // namespace
