@@ -56,7 +56,7 @@ fast=0
 
 echo "== [1/7] build (with -Werror) =="
 cmake -B build -S . -DGELC_WERROR=ON >/dev/null
-cmake --build build -j >/dev/null
+cmake --build build -j"$(nproc)" >/dev/null
 
 echo "== [2/7] gelc_lint =="
 ./build/tools/gelc_lint src tests bench examples tools
@@ -120,12 +120,12 @@ fi
 echo "== [6/7] ASAN/UBSAN ctest =="
 cmake -B build-ubsan -S . -DGELC_ENABLE_ASAN=ON -DGELC_ENABLE_UBSAN=ON \
   >/dev/null
-cmake --build build-ubsan -j >/dev/null
+cmake --build build-ubsan -j"$(nproc)" >/dev/null
 (cd build-ubsan && ctest --output-on-failure -j)
 
 echo "== [7/7] TSAN ctest =="
 cmake -B build-tsan -S . -DGELC_ENABLE_TSAN=ON >/dev/null
-cmake --build build-tsan -j --target obs_test parallel_test plan_test \
+cmake --build build-tsan -j"$(nproc)" --target obs_test parallel_test plan_test \
   fuzz_test simd_test stream_test >/dev/null
 (cd build-tsan && ctest --output-on-failure \
   -R '^(obs_test|parallel_test|plan_test|fuzz_test|simd_test|stream_test)')

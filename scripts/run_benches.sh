@@ -44,7 +44,7 @@ if [ "$reps" -gt 1 ]; then
 fi
 
 cmake -B build -S . >/dev/null
-cmake --build build -j >/dev/null
+cmake --build build -j"$(nproc)" >/dev/null
 
 git_sha="$(git rev-parse --short=12 HEAD 2>/dev/null || echo unknown)"
 if ! git diff --quiet HEAD 2>/dev/null; then

@@ -5,7 +5,6 @@
 
 #include "base/logging.h"
 #include "obs/metrics.h"
-#include "obs/timing.h"
 #include "obs/trace.h"
 
 namespace gelc {
@@ -117,9 +116,9 @@ ValueId TrainableGnn::GraphLogits(Tape* tape, const Graph& g) const {
 }
 
 ValueId TrainableGnn::GraphLogits(Tape* tape, const GraphBatch& batch) const {
-  GELC_TRACE_SPAN("gnn.batch", {{"graphs", batch.num_graphs()},
-                                {"vertices", batch.num_vertices()},
-                                {"arcs", batch.num_arcs()}});
+  GELC_PROBE("gnn.batch", {{"graphs", batch.num_graphs()},
+                           {"vertices", batch.num_vertices()},
+                           {"arcs", batch.num_arcs()}});
   ValueId z = VertexEmbeddings(tape, batch);
   // Row s of pooled carries the same bits as ColSums over block s alone.
   // The head is row-local per pooled row (one row per graph), so the
@@ -217,8 +216,7 @@ Result<TrainReport> MinimizeEmpiricalRisk(
 
   TrainReport report;
   for (size_t epoch = 0; epoch < options.epochs; ++epoch) {
-    GELC_TRACE_SPAN("train.epoch", {{"epoch", epoch}});
-    GELC_OBS_TIME("train.epoch");
+    GELC_PROBE("train.epoch", {{"epoch", epoch}});
     double scaled_sum = 0.0;
     double last_mean = 0.0;
     opt.ZeroGrad();
@@ -226,22 +224,19 @@ Result<TrainReport> MinimizeEmpiricalRisk(
       Tape tape;
       ValueId loss, root;
       {
-        GELC_TRACE_SPAN("train.forward");
-        GELC_OBS_TIME("train.forward");
+        GELC_PROBE("train.forward");
         loss = step.loss(*model, &tape);
         root = step.scale != 0.0 ? tape.Scale(loss, step.scale) : loss;
       }
       {
-        GELC_TRACE_SPAN("train.backward");
-        GELC_OBS_TIME("train.backward");
+        GELC_PROBE("train.backward");
         tape.Backward(root);
       }
       last_mean = tape.value(loss).At(0, 0);
       scaled_sum += tape.value(root).At(0, 0);
     }
     {
-      GELC_TRACE_SPAN("train.step");
-      GELC_OBS_TIME("train.step");
+      GELC_PROBE("train.step");
       opt.Step();
     }
     double mean_loss =

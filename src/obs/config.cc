@@ -34,14 +34,23 @@ std::atomic<bool>& MetricsFlag() {
   return flag;
 }
 
-std::atomic<bool>& TimingsFlag() {
-  static std::atomic<bool> flag{GlobalConfig().timings_enabled};
-  return flag;
+uint8_t EnvPlanes() {
+  return (GlobalConfig().timings_enabled ? internal::kTimingsPlane : 0) |
+         (GlobalConfig().trace_enabled ? internal::kTracePlane : 0);
 }
 
-std::atomic<bool>& TraceFlag() {
-  static std::atomic<bool> flag{GlobalConfig().trace_enabled};
-  return flag;
+std::atomic<uint8_t>& PlaneFlags() {
+  static std::atomic<uint8_t> flags{EnvPlanes()};
+  return flags;
+}
+
+void SetPlane(uint8_t plane, bool enabled) {
+  if (enabled) {
+    PlaneFlags().fetch_or(plane, std::memory_order_relaxed);
+  } else {
+    PlaneFlags().fetch_and(static_cast<uint8_t>(~plane),
+                           std::memory_order_relaxed);
+  }
 }
 
 // Writes the trace file and the optional metrics snapshot when the
@@ -111,30 +120,27 @@ bool MetricsEnabled() {
 }
 
 bool TimingsEnabled() {
-  return TimingsFlag().load(std::memory_order_relaxed);
+  return (internal::ProbePlanes() & internal::kTimingsPlane) != 0;
 }
-
-bool TraceEnabled() { return TraceFlag().load(std::memory_order_relaxed); }
 
 void SetMetricsEnabled(bool enabled) {
   MetricsFlag().store(enabled, std::memory_order_relaxed);
 }
 
 void SetTimingsEnabled(bool enabled) {
-  TimingsFlag().store(enabled, std::memory_order_relaxed);
+  SetPlane(internal::kTimingsPlane, enabled);
 }
 
-void SetTraceEnabled(bool enabled) {
-  TraceFlag().store(enabled, std::memory_order_relaxed);
-}
+void SetTraceEnabled(bool enabled) { SetPlane(internal::kTracePlane, enabled); }
 
 void ResetEnabledFromEnv() {
   SetMetricsEnabled(GlobalConfig().metrics_enabled);
-  SetTimingsEnabled(GlobalConfig().timings_enabled);
-  SetTraceEnabled(GlobalConfig().trace_enabled);
+  PlaneFlags().store(EnvPlanes(), std::memory_order_relaxed);
 }
 
 namespace internal {
+
+uint8_t ProbePlanes() { return PlaneFlags().load(std::memory_order_relaxed); }
 
 void EnsureExitExporter() {
   static ExitExporter exporter;

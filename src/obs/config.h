@@ -4,13 +4,14 @@
 //   GELC_METRICS      "0" disables the metrics registry (default: on).
 //                     Disabled counters/gauges/histograms are no-ops; the
 //                     instrumented hot paths pay one relaxed atomic load.
-//   GELC_TIMINGS      "1" enables the timing plane (default: off): scoped
-//                     GELC_OBS_TIME timers record into latency histograms
+//   GELC_TIMINGS      "1" enables the timing plane (default: off): every
+//                     GELC_PROBE records into its latency histogram
 //                     (obs/timing.h), snapshots gain a `timings` section,
 //                     and the exit exporter prints the latency rollup to
 //                     stderr. Never affects the deterministic plane.
-//   GELC_TRACE        "1" enables scoped trace spans (default: off). At
-//                     process exit the buffered spans are written to
+//   GELC_TRACE        "1" enables the trace plane (default: off): every
+//                     GELC_PROBE records a span (obs/trace.h). At process
+//                     exit the buffered spans are written to
 //                     GELC_TRACE_OUT as Chrome/Perfetto JSON.
 //   GELC_TRACE_OUT    Trace output path (default "gelc_trace.json").
 //   GELC_METRICS_OUT  Optional path; when set, the metrics snapshot JSON
@@ -20,9 +21,12 @@
 // The enabled flags can also be flipped at runtime (tests and gelc_stats
 // do) via SetMetricsEnabled / SetTimingsEnabled / SetTraceEnabled;
 // passing the env-derived default back is done with ResetEnabledFromEnv.
+// The timing and trace flags share one atomic byte, so a probe learns
+// which planes are on from a single relaxed load.
 #ifndef GELC_OBS_CONFIG_H_
 #define GELC_OBS_CONFIG_H_
 
+#include <cstdint>
 #include <string>
 
 namespace gelc {
@@ -43,11 +47,8 @@ const Config& GlobalConfig();
 /// True when counters/gauges/histograms record (hot-path check: one
 /// relaxed atomic load).
 bool MetricsEnabled();
-/// True when scoped GELC_OBS_TIME timers read the clock and record into
-/// latency histograms (hot-path check: one relaxed atomic load).
+/// True when probes record into latency histograms.
 bool TimingsEnabled();
-/// True when scoped spans record into the trace ring buffers.
-bool TraceEnabled();
 
 /// Runtime overrides of the env-derived flags (benchmark sweeps and
 /// tests flip these; they affect subsequent records only).
@@ -59,6 +60,14 @@ void SetTraceEnabled(bool enabled);
 void ResetEnabledFromEnv();
 
 namespace internal {
+/// Bits of ProbePlanes().
+constexpr uint8_t kTimingsPlane = 1;
+constexpr uint8_t kTracePlane = 2;
+
+/// The timing and trace flags as one byte (one relaxed atomic load);
+/// zero when a probe has nothing to record.
+uint8_t ProbePlanes();
+
 /// Registers the process-exit exporter (trace file + optional metrics
 /// snapshot dump) exactly once. Called by the registry and the trace
 /// collector on construction so the exporter is destroyed — and thus

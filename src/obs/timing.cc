@@ -1,25 +1,16 @@
 #include "obs/timing.h"
 
 #include <algorithm>
-#include <chrono>
 #include <cstdio>
 #include <map>
 #include <memory>
 #include <mutex>
 #include <sstream>
 
+#include "obs/config.h"
+
 namespace gelc {
 namespace obs {
-
-namespace internal {
-
-int64_t TimingNowNs() {
-  return std::chrono::duration_cast<std::chrono::nanoseconds>(
-             std::chrono::steady_clock::now().time_since_epoch())
-      .count();
-}
-
-}  // namespace internal
 
 namespace {
 
@@ -42,6 +33,10 @@ std::vector<int64_t> BuildBounds() {
 struct TimingRegistry {
   std::mutex mu;
   std::map<std::string, std::unique_ptr<LatencyHistogram>> histograms;
+
+  // Builds the shared bound table first, so it outlives the registry and
+  // the exit exporter, whose TimingSummaryText reads it at exit.
+  TimingRegistry() { LatencyHistogram::BucketBounds(); }
 
   static TimingRegistry& Instance() {
     static TimingRegistry registry;
@@ -72,11 +67,13 @@ void TouchTimingRegistry() { TimingRegistry::Instance(); }
 LatencyHistogram::LatencyHistogram(std::string name)
     : shards_(internal::kShards), name_(std::move(name)) {}
 
-void LatencyHistogram::Observe(int64_t ns) {
+void LatencyHistogram::Observe(int64_t ns, int64_t exclusive_ns) {
   if (!TimingsEnabled()) return;
   Shard& shard = shards_[internal::ThisThreadShard()];
   shard.counts[BucketIndex(ns)].fetch_add(1, std::memory_order_relaxed);
   shard.sum_ns.fetch_add(ns < 0 ? 0 : ns, std::memory_order_relaxed);
+  shard.exclusive_ns.fetch_add(exclusive_ns < 0 ? 0 : exclusive_ns,
+                               std::memory_order_relaxed);
 }
 
 std::vector<uint64_t> LatencyHistogram::Counts() const {
@@ -107,10 +104,19 @@ int64_t LatencyHistogram::SumNs() const {
   return sum;
 }
 
+int64_t LatencyHistogram::ExclusiveSumNs() const {
+  int64_t sum = 0;
+  for (const Shard& shard : shards_) {
+    sum += shard.exclusive_ns.load(std::memory_order_relaxed);
+  }
+  return sum;
+}
+
 void LatencyHistogram::Reset() {
   for (Shard& shard : shards_) {
     for (auto& c : shard.counts) c.store(0, std::memory_order_relaxed);
     shard.sum_ns.store(0, std::memory_order_relaxed);
+    shard.exclusive_ns.store(0, std::memory_order_relaxed);
   }
 }
 
@@ -182,6 +188,7 @@ std::vector<LatencySample> TimingSnapshot() {
     sample.name = name;
     sample.count = total;
     sample.sum_ns = hist->SumNs();
+    sample.exclusive_ns = hist->ExclusiveSumNs();
     sample.p50_ns = LatencyHistogram::QuantileNs(counts, 0.50);
     sample.p90_ns = LatencyHistogram::QuantileNs(counts, 0.90);
     sample.p99_ns = LatencyHistogram::QuantileNs(counts, 0.99);
@@ -205,7 +212,9 @@ std::string TimingSummaryText() {
          "      p90_ms      p99_ms    total_ms\n";
   // Phase = the series name up to the first '.' (the same convention
   // the trace-span names follow), so "train.epoch" and "train.step"
-  // roll up under "train". std::map keeps rollup order deterministic.
+  // roll up under "train". Summing exclusive time counts a nested
+  // same-phase probe once, inside its parent's total. std::map keeps
+  // rollup order deterministic.
   std::map<std::string, std::pair<uint64_t, int64_t>> phases;
   for (const LatencySample& s : samples) {
     std::string label = s.name;
@@ -221,7 +230,7 @@ std::string TimingSummaryText() {
     std::string phase = s.name.substr(0, s.name.find('.'));
     auto& [calls, sum] = phases[phase];
     calls += s.count;
-    sum += s.sum_ns;
+    sum += s.exclusive_ns;
   }
   if (samples.empty()) {
     out << "(no timings recorded)\n";

@@ -2,23 +2,16 @@
 // from the deterministic metrics registry (see DESIGN.md "Observability"
 // — two-plane doctrine).
 //
-//   void Exec() {
-//     GELC_OBS_TIME("plan_exec");
-//     ...
-//   }
-//
-// `GELC_OBS_TIME(name)` opens a scoped timer that, on destruction,
-// records the elapsed nanoseconds into the process-wide
-// `LatencyHistogram` registered under `name`. Timer names reuse the
-// trace-span names ("matmul", "spmm", "plan_exec", "parallel.for",
-// "train.epoch", ...) so the latency rollups line up with the Chrome
-// traces and the per-phase grouping (the prefix before the first '.')
-// is shared across both exporters.
+// Nothing here reads a clock. A `GELC_PROBE("plan_exec")` (obs/trace.h)
+// feeds the `LatencyHistogram` registered under its name when
+// `GELC_TIMINGS=1`, from the same two clock reads that make its trace
+// span, so every timing series has a span of the same name and the
+// per-phase grouping (the prefix before the first '.') is shared across
+// both exporters.
 //
 // Design contract:
-//  - Off by default (`GELC_TIMINGS=1` enables); a disabled timer costs
-//    one relaxed atomic load and no clock read, exactly like a disabled
-//    counter or span.
+//  - Off by default (`GELC_TIMINGS=1` enables); a disabled probe costs
+//    one relaxed atomic load and no clock read.
 //  - Buckets are log-spaced (powers of two, four linear steps per
 //    octave) from 1ns to ~68s, so p50/p90/p99 extraction is within 25%
 //    of the true quantile everywhere with linear interpolation tighter
@@ -27,15 +20,14 @@
 //    shards owns its own bucket array and a thread picks its shard by
 //    the same thread-local id, so pool workers never bounce a cache
 //    line. Reads merge the shards.
+//  - Each observation carries the probe's exclusive time too (inclusive
+//    minus its same-thread child probes), so the per-phase rollup counts
+//    nested time once.
 //  - Latency values NEVER enter the deterministic registry or its
 //    byte-equality goldens: snapshots carry them in a separate
 //    `timings` section that is omitted when empty and explicitly
 //    excluded from the deterministic-plane comparisons
 //    (`gelc_stats --deterministic`, scripts/check.sh).
-//
-// Timing policy: obs/timing.cc and obs/trace.cc are the only TUs
-// outside bench/ allowed to read a chrono clock — the `adhoc-timing`
-// lint rule enforces the allowlist file by file.
 #ifndef GELC_OBS_TIMING_H_
 #define GELC_OBS_TIMING_H_
 
@@ -45,17 +37,12 @@
 #include <string>
 #include <vector>
 
-#include "obs/config.h"
 #include "obs/metrics.h"  // internal::ThisThreadShard / kShards
 
 namespace gelc {
 namespace obs {
 
 namespace internal {
-/// Monotonic nanoseconds (steady_clock, read in timing.cc); only
-/// meaningful as differences.
-int64_t TimingNowNs();
-
 /// Constructs the timing registry singleton without registering the exit
 /// exporter (mirrors TouchMetricsRegistry / TouchTraceCollector).
 void TouchTimingRegistry();
@@ -72,9 +59,12 @@ class LatencyHistogram {
   LatencyHistogram& operator=(const LatencyHistogram&) = delete;
 
   /// Records one latency (values < 1 land in the underflow bucket,
-  /// values past the last bound in the overflow bucket). No-op when
-  /// TimingsEnabled() is false.
-  void Observe(int64_t ns);
+  /// values past the last bound in the overflow bucket) whose exclusive
+  /// share — the part not spent in nested probes — is `exclusive_ns`.
+  /// No-op when TimingsEnabled() is false.
+  void Observe(int64_t ns, int64_t exclusive_ns);
+  /// Records a latency with no nested probes (exclusive == inclusive).
+  void Observe(int64_t ns) { Observe(ns, ns); }
 
   const std::string& name() const { return name_; }
 
@@ -84,6 +74,8 @@ class LatencyHistogram {
   uint64_t TotalCount() const;
   /// Merged sum of observed nanoseconds.
   int64_t SumNs() const;
+  /// Merged sum of the observations' exclusive nanoseconds.
+  int64_t ExclusiveSumNs() const;
 
   /// Zeroes every shard (tests / ResetTimingsForTest only).
   void Reset();
@@ -114,6 +106,7 @@ class LatencyHistogram {
     Shard() : counts(LatencyHistogram::NumBuckets()) {}
     std::vector<std::atomic<uint64_t>> counts;
     std::atomic<int64_t> sum_ns{0};
+    std::atomic<int64_t> exclusive_ns{0};
   };
   std::vector<Shard> shards_;
   std::string name_;
@@ -124,6 +117,7 @@ struct LatencySample {
   std::string name;
   uint64_t count = 0;
   int64_t sum_ns = 0;
+  int64_t exclusive_ns = 0;  // summary rollup only; snapshots omit it
   double p50_ns = 0.0;
   double p90_ns = 0.0;
   double p99_ns = 0.0;
@@ -131,7 +125,7 @@ struct LatencySample {
 
 /// Returns the process-wide latency histogram with this name,
 /// registering it on first use. Handles are never invalidated; call
-/// sites cache them in a function-local static (GELC_OBS_TIME does).
+/// sites cache them in a function-local static (GELC_PROBE does).
 LatencyHistogram* GetLatencyHistogram(const std::string& name);
 
 /// Every latency series with at least one observation, sorted by name,
@@ -144,49 +138,16 @@ uint64_t TimingObservationCount();
 
 /// Human-readable table: one line per series (count, p50/p90/p99 ms,
 /// total ms) followed by a per-phase rollup, where a series' phase is
-/// its name up to the first '.' ("train.epoch" -> "train"). The exit
-/// exporter prints this to stderr when GELC_TIMINGS was on.
+/// its name up to the first '.' ("train.epoch" -> "train"). The rollup
+/// sums exclusive time, so a phase nested in itself ("train.forward"
+/// inside "train.epoch") is counted once. The exit exporter prints this
+/// to stderr when GELC_TIMINGS was on.
 std::string TimingSummaryText();
 
 /// Zeroes every registered series (registrations and handles survive).
 void ResetTimingsForTest();
 
-/// RAII latency timer: records [construction, destruction) into `hist`
-/// when timings are enabled at construction time. Use via GELC_OBS_TIME.
-class ScopedTimer {
- public:
-  explicit ScopedTimer(LatencyHistogram* hist)
-      : hist_(TimingsEnabled() ? hist : nullptr),
-        start_ns_(hist_ != nullptr ? internal::TimingNowNs() : 0) {}
-  ScopedTimer(const ScopedTimer&) = delete;
-  ScopedTimer& operator=(const ScopedTimer&) = delete;
-  ~ScopedTimer() {
-    // Re-check enablement so a timer straddling SetTimingsEnabled(false)
-    // (tests toggle it between runs) cannot record a stray observation.
-    if (hist_ != nullptr && TimingsEnabled()) {
-      hist_->Observe(internal::TimingNowNs() - start_ns_);
-    }
-  }
-
- private:
-  LatencyHistogram* hist_;
-  int64_t start_ns_;
-};
-
 }  // namespace obs
 }  // namespace gelc
-
-#define GELC_OBS_TIME_CONCAT_INNER_(a, b) a##b
-#define GELC_OBS_TIME_CONCAT_(a, b) GELC_OBS_TIME_CONCAT_INNER_(a, b)
-
-/// GELC_OBS_TIME("name"): times the rest of the enclosing block into the
-/// latency histogram registered under `name` (registered once, cached in
-/// a function-local static; one relaxed load when GELC_TIMINGS is off).
-#define GELC_OBS_TIME(name)                                              \
-  static ::gelc::obs::LatencyHistogram* GELC_OBS_TIME_CONCAT_(           \
-      gelc_obs_lat_, __LINE__) = ::gelc::obs::GetLatencyHistogram(name); \
-  ::gelc::obs::ScopedTimer GELC_OBS_TIME_CONCAT_(gelc_obs_timer_,        \
-                                                 __LINE__)(              \
-      GELC_OBS_TIME_CONCAT_(gelc_obs_lat_, __LINE__))
 
 #endif  // GELC_OBS_TIMING_H_

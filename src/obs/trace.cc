@@ -111,6 +111,16 @@ class TraceCollector {
   std::vector<std::unique_ptr<ThreadBuffer>> buffers_;
 };
 
+// Monotonic nanoseconds; only meaningful as differences.
+int64_t NowNs() {
+  return std::chrono::duration_cast<std::chrono::nanoseconds>(
+             std::chrono::steady_clock::now().time_since_epoch())
+      .count();
+}
+
+// The innermost open probe of the calling thread.
+thread_local Probe* current_probe = nullptr;
+
 std::string FormatMicros(int64_t ns) {
   char buf[32];
   std::snprintf(buf, sizeof(buf), "%lld.%03lld",
@@ -133,17 +143,6 @@ namespace internal {
 
 void TouchTraceCollector() { TraceCollector::Instance(); }
 
-int64_t NowNs() {
-  return std::chrono::duration_cast<std::chrono::nanoseconds>(
-             std::chrono::steady_clock::now().time_since_epoch())
-      .count();
-}
-
-uint32_t& ThreadSpanDepth() {
-  thread_local uint32_t depth = 0;
-  return depth;
-}
-
 void RecordSpan(const char* name, int64_t start_ns, int64_t end_ns,
                 uint32_t depth, const SpanArg* args, uint32_t nargs) {
   ThreadBuffer* buf = TraceCollector::Global().BufferForThisThread();
@@ -160,26 +159,34 @@ void RecordSpan(const char* name, int64_t start_ns, int64_t end_ns,
 
 }  // namespace internal
 
-ScopedSpan::ScopedSpan(const char* name, std::initializer_list<SpanArg> args)
-    : active_(TraceEnabled()) {
-  if (!active_) return;
+void Probe::Open(LatencyHistogram* site, const char* name,
+                 std::initializer_list<SpanArg> args) {
   name_ = name;
   for (const SpanArg& a : args) {
     if (nargs_ < internal::kMaxSpanArgs) args_[nargs_++] = a;
   }
-  depth_ = internal::ThreadSpanDepth()++;
-  start_ns_ = internal::NowNs();
+  if ((planes_ & internal::kTimingsPlane) != 0) {
+    hist_ = site != nullptr ? site : GetLatencyHistogram(name);
+  }
+  parent_ = current_probe;
+  depth_ = parent_ != nullptr ? parent_->depth_ + 1 : 0;
+  current_probe = this;
+  start_ns_ = NowNs();
 }
 
-ScopedSpan::~ScopedSpan() {
-  if (!active_) return;
-  int64_t end_ns = internal::NowNs();
-  --internal::ThreadSpanDepth();
-  internal::RecordSpan(name_, start_ns_, end_ns, depth_, args_, nargs_);
+void Probe::Close() {
+  const int64_t end_ns = NowNs();
+  const int64_t dur_ns = end_ns - start_ns_;
+  current_probe = parent_;
+  if (parent_ != nullptr) parent_->child_ns_ += dur_ns;
+  if ((planes_ & internal::kTracePlane) != 0) {
+    internal::RecordSpan(name_, start_ns_, end_ns, depth_, args_, nargs_);
+  }
+  if (hist_ != nullptr) hist_->Observe(dur_ns, dur_ns - child_ns_);
 }
 
-void ScopedSpan::SetArg(const char* key, int64_t value) {
-  if (!active_) return;
+void Probe::SetArg(const char* key, int64_t value) {
+  if (planes_ == 0) return;
   for (uint32_t i = 0; i < nargs_; ++i) {
     if (args_[i].key == key) {
       args_[i].value = value;

@@ -1,25 +1,35 @@
-// Scoped trace spans recorded into per-thread ring buffers (see
-// DESIGN.md "Observability").
+// Probes: the one instrumentation primitive (see DESIGN.md
+// "Observability"). A probe times a scope once and feeds whichever of the
+// two wall-clock planes are on.
 //
 //   void RunRound(size_t r) {
-//     GELC_TRACE_SPAN("wl.round", {{"round", r}});
+//     GELC_PROBE("wl.round", {{"round", r}});
 //     ...
 //   }
 //
-// Each span records (name, start, duration, nesting depth, small integer
-// args) on destruction into a lock-free ring buffer owned by the calling
-// thread; the collector drains every buffer on export. Two exporters:
+// A probe checks the plane flags once (one relaxed atomic load; a
+// disabled probe reads no clock), reads the clock once at open and once
+// at close, and then
+//  - with GELC_TRACE, records a span (name, start, duration, nesting
+//    depth, small integer args) into a lock-free ring buffer owned by
+//    the calling thread; the collector drains every buffer on export;
+//  - with GELC_TIMINGS, observes the duration in the latency histogram
+//    registered under the same name (obs/timing.h), together with its
+//    exclusive share: the duration minus its same-thread child probes.
+// Each thread links its open probes parent to child; the link gives the
+// span depth and the exclusive time.
+//
+// Two trace exporters:
 //   TraceJson()        — Chrome chrome://tracing / Perfetto "traceEvents"
 //                        JSON (complete "X" events, microsecond ts/dur)
 //   TraceSummaryText() — a merged call tree with call counts and
 //                        inclusive/exclusive milliseconds per path
-// When TraceEnabled() is false a span costs one relaxed atomic load and
-// no clock read. Span names and arg keys must be string literals (the
-// ring buffer stores the pointers, not copies).
+// Probe names and arg keys must be string literals (the ring buffer
+// stores the pointers, not copies).
 //
-// Timing policy: this file is the only sanctioned home of steady_clock
-// reads outside bench/ — the adhoc-timing lint rule enforces it. Wall
-// times never enter the metrics registry, which stays deterministic.
+// Timing policy: obs/trace.cc is the only TU outside bench/ that reads a
+// clock — the adhoc-timing lint rule enforces it. Wall times never enter
+// the metrics registry, which stays deterministic.
 #ifndef GELC_OBS_TRACE_H_
 #define GELC_OBS_TRACE_H_
 
@@ -29,6 +39,7 @@
 
 #include "base/status.h"
 #include "obs/config.h"
+#include "obs/timing.h"
 
 namespace gelc {
 namespace obs {
@@ -49,16 +60,9 @@ namespace internal {
 
 constexpr size_t kMaxSpanArgs = 3;
 
-/// Monotonic nanoseconds (steady_clock); only meaningful as differences.
-int64_t NowNs();
-
 /// Records a completed span into the calling thread's ring buffer.
 void RecordSpan(const char* name, int64_t start_ns, int64_t end_ns,
                 uint32_t depth, const SpanArg* args, uint32_t nargs);
-
-/// Current span nesting depth of the calling thread (incremented by live
-/// ScopedSpans).
-uint32_t& ThreadSpanDepth();
 
 /// Constructs the trace collector singleton without registering the exit
 /// exporter. Called from the exporter's constructor so the collector is
@@ -67,27 +71,46 @@ void TouchTraceCollector();
 
 }  // namespace internal
 
-/// RAII span: records [construction, destruction) when tracing is
-/// enabled at construction time. Use via GELC_TRACE_SPAN.
-class ScopedSpan {
+/// RAII probe over [construction, destruction), recording into the
+/// planes that are on at construction. Use via GELC_PROBE; name the
+/// object instead when the scope calls SetArg.
+class Probe {
  public:
-  explicit ScopedSpan(const char* name) : ScopedSpan(name, {}) {}
-  ScopedSpan(const char* name, std::initializer_list<SpanArg> args);
-  ScopedSpan(const ScopedSpan&) = delete;
-  ScopedSpan& operator=(const ScopedSpan&) = delete;
-  ~ScopedSpan();
+  /// Named-object form; the histogram is looked up by name, and only
+  /// when timings are on.
+  explicit Probe(const char* name, std::initializer_list<SpanArg> args = {})
+      : Probe(nullptr, name, args) {}
+  /// GELC_PROBE's form: `site` is the call site's cached histogram for
+  /// `name`.
+  Probe(LatencyHistogram* site, const char* name,
+        std::initializer_list<SpanArg> args = {})
+      : planes_(internal::ProbePlanes()) {
+    if (planes_ != 0) Open(site, name, args);
+  }
+  Probe(const Probe&) = delete;
+  Probe& operator=(const Probe&) = delete;
+  ~Probe() {
+    if (planes_ != 0) Close();
+  }
 
-  /// Attaches/overwrites an argument before the span closes (for values
-  /// only known at the end of the scope, e.g. colors after a WL round).
-  /// Silently drops args past the kMaxSpanArgs fixed capacity.
+  /// Attaches/overwrites a span argument before the probe closes (for
+  /// values only known at the end of the scope, e.g. colors after a WL
+  /// round). Silently drops args past the kMaxSpanArgs fixed capacity.
   void SetArg(const char* key, int64_t value);
 
  private:
-  bool active_;
+  void Open(LatencyHistogram* site, const char* name,
+            std::initializer_list<SpanArg> args);
+  void Close();
+
+  uint8_t planes_;
   uint32_t depth_ = 0;
   uint32_t nargs_ = 0;
   int64_t start_ns_ = 0;
+  int64_t child_ns_ = 0;  // closed same-thread children's durations
   const char* name_ = nullptr;
+  LatencyHistogram* hist_ = nullptr;
+  Probe* parent_ = nullptr;
   SpanArg args_[internal::kMaxSpanArgs];
 };
 
@@ -118,10 +141,15 @@ void ResetTraceForTest();
 #define GELC_OBS_CONCAT_INNER_(a, b) a##b
 #define GELC_OBS_CONCAT_(a, b) GELC_OBS_CONCAT_INNER_(a, b)
 
-/// GELC_TRACE_SPAN("name") or GELC_TRACE_SPAN("name", {{"key", v}, ...}):
-/// a scoped span covering the rest of the enclosing block.
-#define GELC_TRACE_SPAN(...)                                        \
-  ::gelc::obs::ScopedSpan GELC_OBS_CONCAT_(gelc_trace_span_,        \
-                                           __LINE__)(__VA_ARGS__)
+/// GELC_PROBE("name") or GELC_PROBE("name", {{"key", v}, ...}): a probe
+/// covering the rest of the enclosing block. The site's histogram is
+/// registered once and cached in a function-local static.
+#define GELC_PROBE(name, ...)                                          \
+  static ::gelc::obs::LatencyHistogram* const GELC_OBS_CONCAT_(         \
+      gelc_probe_site_, __LINE__) =                                     \
+      ::gelc::obs::GetLatencyHistogram(name);                           \
+  ::gelc::obs::Probe GELC_OBS_CONCAT_(gelc_probe_, __LINE__)(           \
+      GELC_OBS_CONCAT_(gelc_probe_site_, __LINE__),                     \
+      name __VA_OPT__(, ) __VA_ARGS__)
 
 #endif  // GELC_OBS_TRACE_H_

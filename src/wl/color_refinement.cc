@@ -48,7 +48,7 @@ CrColoring RunColorRefinement(const std::vector<const Graph*>& graphs,
   static obs::Histogram* rounds_hist = obs::GetHistogram(
       "wl.cr.rounds_to_stable", {1, 2, 4, 8, 16, 32, 64});
   runs->Increment();
-  GELC_TRACE_SPAN("wl.cr", {{"graphs", graphs.size()}});
+  GELC_PROBE("wl.cr", {{"graphs", graphs.size()}});
   Interner interner;
   CrColoring out;
   out.stable.resize(graphs.size());
@@ -69,7 +69,7 @@ CrColoring RunColorRefinement(const std::vector<const Graph*>& graphs,
   size_t prev_distinct = CountDistinct(out.stable);
   for (size_t round = 1;; ++round) {
     if (max_rounds >= 0 && round > static_cast<size_t>(max_rounds)) break;
-    obs::ScopedSpan round_span("wl.round", {{"round", round}});
+    obs::Probe round_probe("wl.round", {{"round", round}});
     std::vector<std::vector<uint64_t>> next(graphs.size());
     for (size_t g = 0; g < graphs.size(); ++g) {
       const Graph& graph = *graphs[g];
@@ -93,7 +93,7 @@ CrColoring RunColorRefinement(const std::vector<const Graph*>& graphs,
       for (size_t v = 0; v < n; ++v) next[g][v] = interner.Intern(sigs[v]);
     }
     size_t distinct = CountDistinct(next);
-    round_span.SetArg("colors", static_cast<int64_t>(distinct));
+    round_probe.SetArg("colors", static_cast<int64_t>(distinct));
     rounds_total->Increment();
     out.stable = std::move(next);
     out.history.push_back(out.stable);

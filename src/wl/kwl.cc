@@ -153,7 +153,7 @@ Result<KwlColoring> RunKwl(const std::vector<const Graph*>& graphs, size_t k,
   static obs::Histogram* rounds_hist = obs::GetHistogram(
       "wl.kwl.rounds_to_stable", {1, 2, 4, 8, 16, 32, 64});
   runs->Increment();
-  GELC_TRACE_SPAN("wl.kwl", {{"k", k}, {"graphs", graphs.size()}});
+  GELC_PROBE("wl.kwl", {{"k", k}, {"graphs", graphs.size()}});
   Interner interner;
   KwlColoring out;
   out.k = k;
@@ -168,7 +168,7 @@ Result<KwlColoring> RunKwl(const std::vector<const Graph*>& graphs, size_t k,
   size_t prev_distinct = CountDistinct(out.stable);
   for (size_t round = 1;; ++round) {
     if (max_rounds >= 0 && round > static_cast<size_t>(max_rounds)) break;
-    obs::ScopedSpan round_span("wl.round", {{"round", round}});
+    obs::Probe round_probe("wl.round", {{"round", round}});
     std::vector<std::vector<uint64_t>> next(graphs.size());
     for (size_t g = 0; g < graphs.size(); ++g) {
       size_t n = graphs[g]->num_vertices();
@@ -212,7 +212,7 @@ Result<KwlColoring> RunKwl(const std::vector<const Graph*>& graphs, size_t k,
       }
     }
     size_t distinct = CountDistinct(next);
-    round_span.SetArg("colors", static_cast<int64_t>(distinct));
+    round_probe.SetArg("colors", static_cast<int64_t>(distinct));
     rounds_total->Increment();
     out.stable = std::move(next);
     out.rounds = round;
@@ -246,7 +246,7 @@ Result<KwlColoring> RunObliviousKwl(const std::vector<const Graph*>& graphs,
   static obs::Histogram* rounds_hist = obs::GetHistogram(
       "wl.oblivious_kwl.rounds_to_stable", {1, 2, 4, 8, 16, 32, 64});
   runs->Increment();
-  GELC_TRACE_SPAN("wl.oblivious_kwl", {{"k", k}, {"graphs", graphs.size()}});
+  GELC_PROBE("wl.oblivious_kwl", {{"k", k}, {"graphs", graphs.size()}});
   Interner interner;
   KwlColoring out;
   out.k = k;
@@ -260,7 +260,7 @@ Result<KwlColoring> RunObliviousKwl(const std::vector<const Graph*>& graphs,
   size_t prev_distinct = CountDistinct(out.stable);
   for (size_t round = 1;; ++round) {
     if (max_rounds >= 0 && round > static_cast<size_t>(max_rounds)) break;
-    obs::ScopedSpan round_span("wl.round", {{"round", round}});
+    obs::Probe round_probe("wl.round", {{"round", round}});
     std::vector<std::vector<uint64_t>> next(graphs.size());
     for (size_t g = 0; g < graphs.size(); ++g) {
       size_t n = graphs[g]->num_vertices();
@@ -299,7 +299,7 @@ Result<KwlColoring> RunObliviousKwl(const std::vector<const Graph*>& graphs,
       }
     }
     size_t distinct = CountDistinct(next);
-    round_span.SetArg("colors", static_cast<int64_t>(distinct));
+    round_probe.SetArg("colors", static_cast<int64_t>(distinct));
     rounds_total->Increment();
     out.stable = std::move(next);
     out.rounds = round;

@@ -18,6 +18,7 @@
 #include "core/rewrite.h"
 #include "graph/batch.h"
 #include "graph/generators.h"
+#include "graph/graph6.h"
 #include "graph/io.h"
 #include "graph/update_log.h"
 #include "obs/config.h"
@@ -419,6 +420,30 @@ TEST(HostileInputTest, HugeGraphHeaderIsAStatus) {
   EXPECT_FALSE(ParseGraphText("graph 4 4000000000000 0").ok());
   EXPECT_FALSE(ParseGraphText("graph 1000000 1000 0").ok());
   EXPECT_TRUE(ParseGraphText("graph 4 2 0\ne 0 1").ok());
+}
+
+TEST(HostileInputTest, HugeUpdateLogHeaderIsAStatusOnReplay) {
+  // The header only names a vertex count; replay checks it against the
+  // target graph before touching any per-vertex state.
+  Result<UpdateLog> log = ParseUpdateLog("uplog 4000000000000 0\ni 0 1\n");
+  ASSERT_TRUE(log.ok()) << log.status().ToString();
+  EXPECT_EQ(log->num_vertices, size_t{4000000000000});
+  ASSERT_EQ(log->ops.size(), 1u);
+  Graph g = Graph::Unlabeled(4);
+  Status s = ReplayUpdateLog(*log, &g);
+  ASSERT_FALSE(s.ok());
+  EXPECT_EQ(s.code(), StatusCode::kInvalidArgument);
+  EXPECT_EQ(g.num_edges(), 0u);
+}
+
+TEST(HostileInputTest, HugeGraph6HeaderWithShortBodyIsAnIOError) {
+  // '~' + 3 bytes encodes n = 62 * 64^2 + 63 * 64 + 63 = 258047, which
+  // needs ~5.5 GB of adjacency bytes; the length check rejects the short
+  // body before the graph is built.
+  Result<Graph> g = ParseGraph6("~}~~?");
+  ASSERT_FALSE(g.ok());
+  EXPECT_EQ(g.status().code(), StatusCode::kIOError);
+  EXPECT_NE(g.status().message().find("length mismatch"), std::string::npos);
 }
 
 std::string NestedRelu(size_t depth) {

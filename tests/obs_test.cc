@@ -1,7 +1,8 @@
 // Tests for the observability library (src/obs): sharded counter
 // correctness under the pool, gauge/histogram semantics, snapshot JSON
-// (including a byte-exact golden), scoped span nesting and the summary
-// tree's exclusive-time math, and the disabled-mode no-op contract.
+// (including a byte-exact golden), probe nesting, the summary tree's and
+// the phase rollup's exclusive-time math, the agreement of the trace and
+// timing planes, and the disabled-mode no-op contract.
 //
 // The registry is process-global, so every test either uses metric names
 // unique to itself or resets the registry first; the pool workers spawned
@@ -10,16 +11,24 @@
 
 #include <cstdint>
 #include <limits>
+#include <set>
 #include <string>
 #include <vector>
 
 #include <gtest/gtest.h>
 
 #include "base/parallel.h"
+#include "base/rng.h"
+#include "gnn/trainable.h"
+#include "graph/generators.h"
+#include "graph/update_log.h"
 #include "obs/config.h"
 #include "obs/snapshot.h"
 #include "obs/timing.h"
 #include "obs/trace.h"
+#include "wl/color_refinement.h"
+#include "wl/incremental.h"
+#include "wl/kwl.h"
 
 namespace gelc {
 namespace {
@@ -126,22 +135,27 @@ TEST(DisabledModeTest, RecordsAreNoOps) {
   obs::ResetEnabledFromEnv();
 }
 
-TEST(DisabledModeTest, SpansAreNoOps) {
+TEST(DisabledModeTest, ProbesAreNoOps) {
   obs::SetTraceEnabled(false);
+  obs::SetTimingsEnabled(false);
+  obs::LatencyHistogram* h = obs::GetLatencyHistogram("test.disabled.probe");
   const size_t before = obs::TraceEventCount();
   {
-    GELC_TRACE_SPAN("test.disabled.span", {{"x", 1}});
+    GELC_PROBE("test.disabled.probe", {{"x", 1}});
+    obs::Probe named("test.disabled.probe");
+    named.SetArg("x", 2);
   }
   EXPECT_EQ(obs::TraceEventCount(), before);
+  EXPECT_EQ(h->TotalCount(), 0u);
   obs::ResetEnabledFromEnv();
 }
 
-TEST(TraceTest, ScopedSpanRecordsNameArgsAndNesting) {
+TEST(TraceTest, ProbeRecordsNameArgsAndNesting) {
   obs::ResetTraceForTest();
   obs::SetTraceEnabled(true);
   {
-    GELC_TRACE_SPAN("test.outer", {{"x", 7}});
-    { GELC_TRACE_SPAN("test.inner"); }
+    GELC_PROBE("test.outer", {{"x", 7}});
+    { GELC_PROBE("test.inner"); }
   }
   obs::SetTraceEnabled(false);
   EXPECT_EQ(obs::TraceEventCount(), 2u);
@@ -162,9 +176,9 @@ TEST(TraceTest, SetArgAttachesAndOverwrites) {
   obs::ResetTraceForTest();
   obs::SetTraceEnabled(true);
   {
-    obs::ScopedSpan span("test.setarg", {{"colors", 0}});
-    span.SetArg("colors", 42);       // overwrite by key
-    span.SetArg("extra", 9);         // append
+    obs::Probe probe("test.setarg", {{"colors", 0}});
+    probe.SetArg("colors", 42);      // overwrite by key
+    probe.SetArg("extra", 9);        // append
   }
   obs::SetTraceEnabled(false);
   std::string json = obs::TraceJson();
@@ -177,7 +191,7 @@ TEST(TraceTest, SetArgAttachesAndOverwrites) {
 TEST(TraceTest, SummaryExclusiveTimeSubtractsDirectChildren) {
   obs::ResetTraceForTest();
   // Synthetic events with exact nanosecond durations (RecordSpan is the
-  // layer under ScopedSpan, so the math is tested deterministically).
+  // layer under Probe, so the math is tested deterministically).
   // Ring buffers record in end order: children complete first.
   obs::internal::RecordSpan("child", 1'000'000, 3'000'000, 1, nullptr, 0);
   obs::internal::RecordSpan("root", 0, 5'000'000, 0, nullptr, 0);
@@ -322,9 +336,8 @@ TEST(SnapshotTest, TimingsKeyOmittedWhenEmptyAndEscaped) {
 }
 
 // --------------------------------------------------------------------------
-// Timing plane (ISSUE 9 tentpole): latency histogram bucket geometry,
-// quantiles, sharded concurrency, the scoped-timer macro, and the
-// two-plane separation contract.
+// Timing plane: latency histogram bucket geometry, quantiles, sharded
+// concurrency, the probe macro, and the two-plane separation contract.
 // --------------------------------------------------------------------------
 
 TEST(LatencyHistogramTest, BucketGeometry) {
@@ -429,15 +442,139 @@ TEST(LatencyHistogramTest, ShardedObservesMergeExactlyUnderPool) {
   EXPECT_EQ(h->TotalCount(), 4 * kPerShard);
 }
 
-TEST(ScopedTimerTest, MacroRecordsOneObservationPerScope) {
+TEST(ProbeTest, MacroRecordsOneObservationPerScope) {
   ScopedTimingsOn timings_on;
   obs::LatencyHistogram* h = obs::GetLatencyHistogram("test.lat.scoped");
   const uint64_t before = h->TotalCount();
   for (int i = 0; i < 3; ++i) {
-    GELC_OBS_TIME("test.lat.scoped");
+    GELC_PROBE("test.lat.scoped");
   }
   EXPECT_EQ(h->TotalCount(), before + 3);
   EXPECT_GE(h->SumNs(), 0);
+}
+
+// Busy work the optimizer cannot drop, so a probe around it spans
+// measurably more than zero microseconds.
+void Spin(int iterations) {
+  volatile int64_t sink = 0;
+  for (int i = 0; i < iterations; ++i) sink = sink + i;
+}
+
+// The ring event's "dur" field in microseconds ("12.345"), as ns.
+int64_t JsonDurNs(const std::string& json) {
+  const std::string key = "\"dur\": ";
+  size_t at = json.find(key);
+  if (at == std::string::npos) return -1;
+  at += key.size();
+  size_t dot = json.find('.', at);
+  return std::stoll(json.substr(at, dot - at)) * 1000 +
+         std::stoll(json.substr(dot + 1, 3));
+}
+
+TEST(ProbeTest, BothPlanesShareOneClockReading) {
+  ScopedTimingsOn timings_on;
+  obs::ResetTimingsForTest();
+  obs::ResetTraceForTest();
+  obs::SetTraceEnabled(true);
+  obs::LatencyHistogram* h = obs::GetLatencyHistogram("test.probe.both");
+  {
+    GELC_PROBE("test.probe.both", {{"x", 1}});
+    Spin(10000);
+  }
+  obs::SetTraceEnabled(false);
+  EXPECT_EQ(obs::TraceEventCount(), 1u);
+  EXPECT_EQ(h->TotalCount(), 1u);
+  // Span and observation come from the same two clock reads.
+  EXPECT_EQ(JsonDurNs(obs::TraceJson()), h->SumNs());
+  obs::ResetTraceForTest();
+}
+
+// The last whitespace-separated field of the summary line that starts
+// with `label` followed by a space.
+std::string SummaryTotal(const std::string& summary,
+                         const std::string& label) {
+  size_t at = summary.find("\n" + label + " ");
+  if (at == std::string::npos) return "";
+  size_t end = summary.find('\n', at + 1);
+  std::string line = summary.substr(at + 1, end - at - 1);
+  return line.substr(line.find_last_of(' ') + 1);
+}
+
+TEST(ProbeTest, PhaseRollupCountsNestedTimeOnce) {
+  ScopedTimingsOn timings_on;
+  obs::ResetTimingsForTest();
+  {
+    GELC_PROBE("a.outer");
+    Spin(10000);
+    {
+      GELC_PROBE("a.inner");
+      Spin(100000);
+    }
+  }
+  const int64_t outer_ns = obs::GetLatencyHistogram("a.outer")->SumNs();
+  const int64_t inner_ns = obs::GetLatencyHistogram("a.inner")->SumNs();
+  ASSERT_GT(inner_ns, 0);
+  int64_t phase_ns = 0;
+  for (const obs::LatencySample& sample : obs::TimingSnapshot()) {
+    phase_ns += sample.exclusive_ns;
+  }
+  EXPECT_EQ(phase_ns, outer_ns);
+  // Phase `a` totals a.outer's inclusive time, not outer + inner.
+  const std::string summary = obs::TimingSummaryText();
+  const std::string outer_total = SummaryTotal(summary, "a.outer");
+  ASSERT_FALSE(outer_total.empty()) << summary;
+  EXPECT_EQ(SummaryTotal(summary, "  a"), outer_total) << summary;
+}
+
+// Every name in `json`'s "name" fields.
+std::set<std::string> TraceNames(const std::string& json) {
+  std::set<std::string> names;
+  const std::string key = "\"name\": \"";
+  for (size_t at = json.find(key); at != std::string::npos;
+       at = json.find(key, at)) {
+    at += key.size();
+    names.insert(json.substr(at, json.find('"', at) - at));
+  }
+  return names;
+}
+
+TEST(ProbeTest, PlanesAgreeOnRealWorkload) {
+  ScopedTimingsOn timings_on;
+  obs::ResetTimingsForTest();
+  obs::ResetTraceForTest();
+  obs::SetTraceEnabled(true);
+
+  Graph cycle = CycleGraph(6);
+  RunColorRefinement({&cycle});
+  ASSERT_TRUE(RunKwl({&cycle}, 2).ok());
+
+  Rng rng(5);
+  TrainOptions opt;
+  opt.epochs = 1;
+  opt.hidden_widths = {4};
+  ASSERT_TRUE(TrainNodeClassifier(SyntheticCitations(20, 2, 0.3, &rng), opt)
+                  .ok());
+
+  Graph g = CycleGraph(12);
+  (void)g.Csr();
+  IncrementalColorRefiner refiner(&g);
+  UpdateLog log = GenerateUpdateLog(g, 12, 0.4, &rng);
+  ASSERT_TRUE(ReplayUpdateLog(log, &g, ReplayOptions(),
+                              [&](const ReplayBatch& batch) {
+                                refiner.Update(batch.touched);
+                                return Status::OK();
+                              })
+                  .ok());
+  obs::SetTraceEnabled(false);
+
+  std::set<std::string> series;
+  for (const obs::LatencySample& sample : obs::TimingSnapshot()) {
+    series.insert(sample.name);
+  }
+  const std::set<std::string> spans = TraceNames(obs::TraceJson());
+  EXPECT_FALSE(spans.empty());
+  EXPECT_EQ(spans, series);
+  obs::ResetTraceForTest();
 }
 
 TEST(TimingSnapshotTest, CarriesPercentilesAndSummarizes) {
@@ -478,7 +615,7 @@ TEST(TimingSnapshotTest, TwoPlaneSeparationIsByteExact) {
     ScopedTimingsOn timings_on;
     run_work();
     {
-      GELC_OBS_TIME("test.plane.timer");
+      GELC_PROBE("test.plane.timer");
     }
     obs::StatsSnapshot on_snap = obs::Snapshot();
     EXPECT_FALSE(on_snap.timings.empty());
