@@ -1,6 +1,7 @@
 #include "core/plan_compile.h"
 
 #include <algorithm>
+#include <cstring>
 #include <map>
 #include <string>
 
