@@ -97,6 +97,10 @@ CsrGraph::CsrGraph(const CsrGraph& base, const CsrDeltaRows& adj_delta,
   normalized_ = BuildNormalized(adjacency_);
 }
 
+CsrGraph::CsrGraph(const CsrGraph& exact, uint64_t epoch) : CsrGraph(exact) {
+  epoch_ = epoch;
+}
+
 void CsrGraph::CheckFreshFor(const Graph& g) const {
   (void)g;  // only read in debug builds
   GELC_DCHECK_EQ(epoch_, g.mutation_epoch());

@@ -25,6 +25,7 @@
 #include <immintrin.h>
 
 #include <algorithm>
+#include <cstdint>
 
 #include "base/aligned.h"
 #include "base/logging.h"
@@ -198,8 +199,10 @@ template <bool kUseFma>
 void SpMMRowsVec(const size_t* row_offsets, const uint32_t* col_indices,
                  const double* values, const double* b, double* out,
                  size_t row_begin, size_t row_end, size_t d) {
+  // Unaligned loads and stores throughout: `out` only has to be a double
+  // array (SpMMDeltaInto passes single output rows at offset r * d).
   GELC_DCHECK(IsVectorAligned(b));
-  GELC_DCHECK(IsVectorAligned(out));
+  GELC_DCHECK_EQ(reinterpret_cast<uintptr_t>(out) % alignof(double), 0u);
   for (size_t i = row_begin; i < row_end; ++i) {
     double* orow = out + i * d;
     const size_t begin = row_offsets[i];

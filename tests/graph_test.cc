@@ -108,6 +108,20 @@ TEST(GraphTest, PermutedRejectsBadPermutation) {
   EXPECT_FALSE(g.Permuted({0, 1, 5}).ok());
 }
 
+TEST(GraphTest, CancelledEditsLeaveAFreshSnapshot) {
+  Graph g = Graph::Unlabeled(4);
+  ASSERT_TRUE(g.AddEdge(0, 1).ok());
+  (void)g.Csr();
+  Graph before = g;  // shares the snapshot
+  ASSERT_TRUE(g.AddEdge(1, 2).ok());
+  ASSERT_TRUE(g.RemoveEdge(1, 2).ok());
+  const CsrGraph& csr = g.Csr();
+  EXPECT_EQ(csr.epoch(), g.mutation_epoch());
+  csr.CheckFreshFor(g);
+  EXPECT_EQ(csr.adjacency().nnz(), 2u);
+  before.Csr().CheckFreshFor(before);
+}
+
 TEST(GraphTest, DisjointUnionCounts) {
   Result<Graph> u = Graph::DisjointUnion(CycleGraph(3), PathGraph(4));
   ASSERT_TRUE(u.ok());
