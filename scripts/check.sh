@@ -25,14 +25,19 @@
 #                            exported, so every differential/bit-identity
 #                            test also certifies the scalar fallback tier
 #                            a binary lands on when cpuid lacks AVX2/FMA
-#   6. sanitizer ctest     — ASAN+UBSAN build, full suite again (this is
+#   6. Debug ctest         — a -DCMAKE_BUILD_TYPE=Debug build, full suite
+#                            again with every GELC_DCHECK armed (the
+#                            other trees define NDEBUG, which compiles
+#                            the DCHECKs out)
+#   7. sanitizer ctest     — ASAN+UBSAN build, full suite again (this is
 #                            the run that chases the SIMD kernels' raw
 #                            pointer arithmetic, vector tails, and the
 #                            aligned-allocator new/delete pairing in
 #                            simd_test)
-#   7. TSAN ctest          — TSAN build of only the pool-worker-heavy
+#   8. TSAN ctest          — TSAN build of only the pool-worker-heavy
 #                            binaries (obs_test, parallel_test, plan_test,
-#                            fuzz_test, simd_test, stream_test): the obs
+#                            fuzz_test, simd_test, stream_test, wl_test,
+#                            hierarchy_test): the obs
 #                            metrics shards / trace ring buffers /
 #                            latency-histogram shards and the fused
 #                            plan-execution kernels are written from pool
@@ -42,10 +47,13 @@
 #                            static one (plan_test also carries the
 #                            compile/fuzz differential suites; stream_test
 #                            drives the delta-SpMM and incremental-
-#                            refinement signature passes from the pool)
+#                            refinement signature passes from the pool;
+#                            wl_test and hierarchy_test drive the
+#                            refinement driver's per-shard signature
+#                            arenas)
 #
 # Usage: scripts/check.sh [--fast]
-#   --fast  skip steps 6 and 7 (the sanitizer rebuilds) for quick
+#   --fast  skip steps 6 to 8 (the Debug and sanitizer rebuilds) for quick
 #           iteration; the full run is still required before the PR.
 set -euo pipefail
 
@@ -54,17 +62,17 @@ cd "$(dirname "$0")/.."
 fast=0
 [[ "${1:-}" == "--fast" ]] && fast=1
 
-echo "== [1/7] build (with -Werror) =="
+echo "== [1/8] build (with -Werror) =="
 cmake -B build -S . -DGELC_WERROR=ON >/dev/null
 cmake --build build -j"$(nproc)" >/dev/null
 
-echo "== [2/7] gelc_lint =="
+echo "== [2/8] gelc_lint =="
 ./build/tools/gelc_lint src tests bench examples tools
 
-echo "== [3/7] ctest =="
+echo "== [3/8] ctest =="
 (cd build && ctest --output-on-failure -j)
 
-echo "== [4/7] two-plane gate (snapshot byte-identity + diff self-test) =="
+echo "== [4/8] two-plane gate (snapshot byte-identity + diff self-test) =="
 tmpdir="$(mktemp -d)"
 trap 'rm -rf "$tmpdir"' EXIT
 # (a) With the timing plane ON, the deterministic plane must still be
@@ -108,26 +116,32 @@ fi
   exit 1
 }
 
-echo "== [5/7] ctest with GELC_SIMD=0 (forced scalar tier) =="
+echo "== [5/8] ctest with GELC_SIMD=0 (forced scalar tier) =="
 (cd build && GELC_SIMD=0 ctest --output-on-failure -j)
 
 if [[ "$fast" == "1" ]]; then
-  echo "== [6/7] SKIPPED (--fast): ASAN/UBSAN ctest =="
-  echo "== [7/7] SKIPPED (--fast): TSAN ctest =="
+  echo "== [6/8] SKIPPED (--fast): Debug ctest =="
+  echo "== [7/8] SKIPPED (--fast): ASAN/UBSAN ctest =="
+  echo "== [8/8] SKIPPED (--fast): TSAN ctest =="
   exit 0
 fi
 
-echo "== [6/7] ASAN/UBSAN ctest =="
+echo "== [6/8] Debug ctest =="
+cmake -B build-debug -S . -DCMAKE_BUILD_TYPE=Debug >/dev/null
+cmake --build build-debug -j"$(nproc)" >/dev/null
+(cd build-debug && ctest --output-on-failure -j)
+
+echo "== [7/8] ASAN/UBSAN ctest =="
 cmake -B build-ubsan -S . -DGELC_ENABLE_ASAN=ON -DGELC_ENABLE_UBSAN=ON \
   >/dev/null
 cmake --build build-ubsan -j"$(nproc)" >/dev/null
 (cd build-ubsan && ctest --output-on-failure -j)
 
-echo "== [7/7] TSAN ctest =="
+echo "== [8/8] TSAN ctest =="
 cmake -B build-tsan -S . -DGELC_ENABLE_TSAN=ON >/dev/null
 cmake --build build-tsan -j"$(nproc)" --target obs_test parallel_test plan_test \
-  fuzz_test simd_test stream_test >/dev/null
+  fuzz_test simd_test stream_test wl_test hierarchy_test >/dev/null
 (cd build-tsan && ctest --output-on-failure \
-  -R '^(obs_test|parallel_test|plan_test|fuzz_test|simd_test|stream_test)')
+  -R '^(obs_test|parallel_test|plan_test|fuzz_test|simd_test|stream_test|wl_test|hierarchy_test)')
 
 echo "check.sh: all gates green"

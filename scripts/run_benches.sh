@@ -9,8 +9,10 @@
 # the regenerated BENCH file as a top-level "gelc_metrics" key alongside
 # google-benchmark's own "context"/"benchmarks". A "gelc_context" key
 # records the git SHA (with a -dirty suffix when the tree has local
-# edits) and the resolved SIMD tier, so diffs across the BENCH trajectory
-# are attributable to a commit and an instruction set.
+# edits), the resolved SIMD tier, nproc, the CPU model, the compiler and
+# the build type — the fields perfbench's `report` line carries — so
+# diffs across the BENCH trajectory are attributable to a commit, an
+# instruction set and a machine.
 #
 # After regenerating a BENCH file, the previously checked-in version (git
 # HEAD) is compared with `gelc_stats --diff` — informational by default,
@@ -51,6 +53,18 @@ if ! git diff --quiet HEAD 2>/dev/null; then
   git_sha="${git_sha}-dirty"
 fi
 simd_tier="$(./build/tools/gelc_stats --simd-tier)"
+nproc_count="$(nproc)"
+cpu_model="$(grep -m 1 '^model name' /proc/cpuinfo 2>/dev/null |
+  sed 's/^[^:]*: //' | tr -d '"\\' || true)"
+compiler_file="$(ls build/CMakeFiles/*/CMakeCXXCompiler.cmake | head -n 1)"
+compiler_id="$(sed -n 's/^set(CMAKE_CXX_COMPILER_ID "\(.*\)")$/\1/p' \
+  "$compiler_file")"
+compiler_version="$(sed -n \
+  's/^set(CMAKE_CXX_COMPILER_VERSION "\(.*\)")$/\1/p' "$compiler_file")"
+if [ "$compiler_id" = "GNU" ]; then compiler_id="gcc"; fi
+build_type="$(sed -n 's/^CMAKE_BUILD_TYPE:STRING=//p' build/CMakeCache.txt)"
+# An empty cache entry means CMakeLists.txt's default.
+build_type="${build_type:-RelWithDebInfo}"
 
 for bin in build/bench/bench_p*; do
   name="${bin##*/bench_}"                  # e.g. p8_spmm
@@ -77,8 +91,11 @@ for bin in build/bench/bench_p*; do
   git show "HEAD:BENCH_${short}.json" > "$old" 2>/dev/null || : > "$old"
   {
     echo "{"
-    printf '  "gelc_context": {"git_sha": "%s", "simd_tier": "%s"},\n' \
+    printf '  "gelc_context": {"git_sha": "%s", "simd_tier": "%s", ' \
       "$git_sha" "$simd_tier"
+    printf '"nproc": %s, "cpu_model": "%s", "compiler": "%s %s", ' \
+      "$nproc_count" "${cpu_model:-unknown}" "$compiler_id" "$compiler_version"
+    printf '"build_type": "%s"},\n' "$build_type"
     printf '  "gelc_metrics": %s,\n' "$(cat "$snap")"
     tail -n +2 "$raw"
   } > "BENCH_${short}.json"
