@@ -14,6 +14,7 @@
 #include <cstdint>
 #include <vector>
 
+#include "base/refine.h"
 #include "base/rng.h"
 #include "base/status.h"
 #include "graph/graph.h"
@@ -59,11 +60,7 @@ class RelationalGraph {
 /// color multiset PER relation. Returns stable colors per graph (jointly
 /// interned across the supplied graphs) — the relational 1-WL of
 /// slide 74's reference.
-struct RelationalCrColoring {
-  std::vector<std::vector<uint64_t>> stable;
-  size_t rounds = 0;
-  std::vector<uint64_t> GraphSignature(size_t g) const;
-};
+using RelationalCrColoring = GraphColoring;
 RelationalCrColoring RunRelationalColorRefinement(
     const std::vector<const RelationalGraph*>& graphs, int max_rounds = -1);
 
